@@ -501,11 +501,50 @@ bool BTree::Cursor::Seek(const ZKey& key) {
     page_id = node.ChildAt(node.DescendLeft(key));
     ref = tree_->pool_->Fetch(page_id);
   }
+  EnterLeaf(std::move(ref), page_id, key);
+  while (index_ >= static_cast<int>(cache_entries_.size())) {
+    if (!AdvanceLeaf()) return false;
+    EnsureCache();
+  }
+  valid_ = true;
+  current_ = cache_entries_[static_cast<size_t>(index_)];
+  return true;
+}
+
+bool BTree::Cursor::SeekWithinLeaf(const ZKey& lo, const ZKey& hi) {
+  // Descend the internal levels only (height() - 1 of them), keeping the
+  // separator just right of the path: the deepest one is the tightest.
+  PageId page_id = tree_->root_;
+  bool bounded = false;
+  ZKey right;
+  for (int level = 1; level < tree_->height_; ++level) {
+    PageRef ref = tree_->pool_->Fetch(page_id);
+    ++internal_loads_;
+    const InternalView node(&ref.page());
+    const int child = node.DescendLeft(lo);
+    if (child < node.count()) {
+      bounded = true;
+      right = node.SeparatorAt(child);
+    }
+    page_id = node.ChildAt(child);
+  }
+  if (bounded && !(hi < right)) return false;
+  PageRef leaf = tree_->pool_->Fetch(page_id);
+  assert(IsLeafKind(KindOf(leaf.page())));
+  EnterLeaf(std::move(leaf), page_id, lo);
+  valid_ = index_ < static_cast<int>(cache_entries_.size());
+  if (valid_) current_ = cache_entries_[static_cast<size_t>(index_)];
+  return true;
+}
+
+// Pins `page_id` as the current leaf and positions at the first entry
+// >= `key` on it (possibly one past its end).
+void BTree::Cursor::EnterLeaf(PageRef ref, PageId page_id, const ZKey& key) {
   // Re-landing on the leaf the cursor already sits on is not a new page
   // access: the page is resident (the LRU argument of Section 4), so the
   // paper's "data pages accessed" metric counts it once. The decoded
   // cache survives for the same reason.
-  if (!(valid_ && page_id == leaf_page_)) {
+  if (page_id != leaf_page_) {
     ++leaf_loads_;
     leaf_entries_seen_ +=
         static_cast<uint64_t>(ref.page().Read<uint16_t>(kCountOffset));
@@ -519,13 +558,6 @@ bool BTree::Cursor::Seek(const ZKey& key) {
           cache_entries_.begin(), cache_entries_.end(), key,
           [](const LeafEntry& e, const ZKey& k) { return e.key < k; }) -
       cache_entries_.begin());
-  while (index_ >= static_cast<int>(cache_entries_.size())) {
-    if (!AdvanceLeaf()) return false;
-    EnsureCache();
-  }
-  valid_ = true;
-  current_ = cache_entries_[static_cast<size_t>(index_)];
-  return true;
 }
 
 bool BTree::Cursor::Next() {
@@ -550,6 +582,11 @@ int BTree::Cursor::RunLengthLE(uint64_t bound) {
   EnsureCache();
   return UpperBoundZ(cache_z_.data() + index_,
                      static_cast<int>(cache_z_.size()) - index_, bound);
+}
+
+int BTree::Cursor::LeafRemaining() {
+  assert(valid_);
+  return LeafCountHeader() - index_;
 }
 
 uint64_t BTree::Cursor::PeekZ(int k) {
@@ -594,6 +631,7 @@ bool BTree::Cursor::AdvanceLeaf() {
     valid_ = false;
     cache_valid_ = false;
     leaf_ref_.Release();
+    leaf_page_ = storage::kInvalidPageId;
     return false;
   }
   leaf_ref_ = tree_->pool_->Fetch(next);

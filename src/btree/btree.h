@@ -145,6 +145,16 @@ class BTree {
     /// Returns false if no such entry exists.
     bool Seek(const ZKey& key);
 
+    /// Seek(lo) for a key range known to sit on one leaf. The descent
+    /// towards `lo` reads, from internal pages alone, the separator that
+    /// bounds the target leaf on the right. If `hi` sorts below it, every
+    /// entry in [lo, hi] lies on that leaf: the cursor lands there on the
+    /// first entry >= lo (Valid() is false when the leaf holds none, so
+    /// the range is empty) and true is returned. Otherwise the range
+    /// crosses a leaf boundary: no leaf is entered, the cursor keeps its
+    /// position, and false is returned.
+    bool SeekWithinLeaf(const ZKey& lo, const ZKey& hi);
+
     /// True when positioned on an entry.
     bool Valid() const { return valid_; }
 
@@ -173,6 +183,11 @@ class BTree {
     /// and vector paths return identical values. Requires Valid().
     int RunLengthLE(uint64_t bound);
 
+    /// Entries on the current leaf from the cursor to the leaf's end
+    /// (at least 1). Requires Valid(). RunLengthLE(bound) < LeafRemaining()
+    /// means no entry <= `bound` lies on a later leaf.
+    int LeafRemaining();
+
     /// z integer / entry `k` positions ahead on the current leaf (0 = the
     /// cursor position). Requires k < the current leaf's remaining count.
     uint64_t PeekZ(int k);
@@ -191,6 +206,8 @@ class BTree {
     uint64_t CountWhileLE(uint64_t bound);
 
    private:
+    void EnterLeaf(storage::PageRef ref, storage::PageId page_id,
+                   const ZKey& key);
     bool AdvanceLeaf();
     void EnsureCache();
     int LeafCountHeader();

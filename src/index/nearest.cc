@@ -89,6 +89,24 @@ std::vector<Neighbor> KNearest(const ZkdIndex& index,
   uint64_t range_scans = 0;
   uint64_t points_examined = 0;
 
+  // Offers every entry from the cursor up to z integer `zhi`. With
+  // `one_leaf` the caller knows none lies past the current leaf, so the
+  // scan never enters the next one.
+  auto scan = [&](uint64_t zhi, bool one_leaf) {
+    while (cursor.Valid()) {
+      const int run = cursor.RunLengthLE(zhi);
+      for (int i = 0; i < run; ++i) {
+        const btree::LeafEntry& entry = cursor.PeekEntry(i);
+        const geometry::GridPoint point(std::span<const uint32_t>(
+            Unshuffle(grid, entry.key.ToZValue())));
+        offer(entry.payload, PointDistance2(point, query));
+      }
+      points_examined += static_cast<uint64_t>(run);
+      if (one_leaf || run < cursor.LeafRemaining()) return;
+      cursor.Advance(run);  // the range continues on the next leaf
+    }
+  };
+
   std::priority_queue<Candidate> frontier;
   frontier.push(Candidate{0, ZValue()});
   while (!frontier.empty()) {
@@ -99,25 +117,29 @@ std::vector<Neighbor> KNearest(const ZkdIndex& index,
     if (candidate.dist2 > worst_bound()) break;
     ++regions_expanded;
 
+    const uint64_t zlo = candidate.region.RangeLo(total);
+    const uint64_t zhi = candidate.region.RangeHi(total);
+    const ZKey lo = ZKey::FromZValue(ZValue::FromInteger(zlo, total));
     // On a full 64-bit grid the root region has 2^64 cells; guard the
-    // shift (1 << 64 is undefined) by treating >= 2^63 as "never scan".
+    // shift (1 << 64 is undefined) by treating >= 2^63 as "never small".
     const int free_bits = total - candidate.region.length();
     if (free_bits < 64 &&
         (1ULL << free_bits) <= options.scan_cell_threshold) {
-      // Scan the region's consecutive z range.
+      // A small region is scanned whole, across leaves if need be.
       ++range_scans;
-      const uint64_t zlo = candidate.region.RangeLo(total);
-      const uint64_t zhi = candidate.region.RangeHi(total);
-      bool have = cursor.Seek(
-          ZKey::FromZValue(ZValue::FromInteger(zlo, total)));
-      while (have) {
-        const ZValue z = cursor.entry().key.ToZValue();
-        if (z.ToInteger() > zhi) break;
-        ++points_examined;
-        const geometry::GridPoint point(
-            std::span<const uint32_t>(Unshuffle(grid, z)));
-        offer(cursor.entry().payload, PointDistance2(point, query));
-        have = cursor.Next();
+      cursor.Seek(lo);
+      scan(zhi, /*one_leaf=*/false);
+      continue;
+    }
+    // Let the B+-tree judge a larger region before splitting it: when its
+    // z range lies within one leaf, reading that leaf settles the region
+    // — dropped if empty, scanned whole otherwise — at the cost of one
+    // page, whatever its size.
+    if (cursor.SeekWithinLeaf(
+            lo, ZKey::FromZValue(ZValue::FromInteger(zhi, total)))) {
+      if (cursor.Valid() && cursor.PeekZ(0) <= zhi) {
+        ++range_scans;
+        scan(zhi, /*one_leaf=*/true);
       }
       continue;
     }

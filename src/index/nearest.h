@@ -17,12 +17,21 @@
 ///    the points inside a ball object, answered by the ordinary
 ///    decompose-and-merge search.
 ///  * KNearest — when r is not known in advance: a best-first search over
-///    z-prefix regions. Regions (elements-to-be) are expanded in order of
-///    their minimum distance to the query point; when a region is small
-///    enough, its points are fetched from the B+-tree by one z-range scan
-///    (a region is a run of consecutive z values, so the fetch is
-///    sequential). The search stops when the nearest unexplored region is
-///    farther than the current k-th best point.
+///    z-prefix regions. Regions (elements-to-be) are popped in order of
+///    their minimum distance to the query point, and the search stops when
+///    the nearest unexplored region is farther than the current k-th best
+///    point. A region is a run of consecutive z values, so its points are
+///    one sequential z-range scan of the B+-tree. Like the Section 3.3
+///    merge, the search lets the tree skip empty z space: before a popped
+///    region is split, one descent through the internal pages tells
+///    whether its z range lies within a single leaf. If it does, that
+///    leaf settles the region at the cost of one page, whatever its size:
+///    an empty region is dropped with no children, a populated one is
+///    scanned whole. Only a region whose z range crosses a leaf boundary
+///    is split. Work therefore follows the data, not the grid: a 10-NN
+///    query over 1M uniform points reads two or three leaves, and a search
+///    whose center lies outside the index's z interval (a shard of a
+///    range-partitioned engine) walks straight to the populated part.
 
 namespace probe::index {
 
@@ -42,7 +51,10 @@ struct Neighbor {
 
 /// Work counters for one k-NN search.
 struct NearestStats {
+  /// Regions popped from the frontier (split, scanned or dropped).
   uint64_t regions_expanded = 0;
+  /// Regions whose z range was read from the leaves: every small region,
+  /// and every populated region found within one leaf.
   uint64_t range_scans = 0;
   uint64_t points_examined = 0;
   uint64_t leaf_pages = 0;
@@ -51,8 +63,11 @@ struct NearestStats {
 
 /// Options for KNearest.
 struct NearestOptions {
-  /// A region is scanned (rather than split) once it has at most this
-  /// many cells. Smaller values mean more, tighter scans.
+  /// A region of at most this many cells is scanned, across leaves if
+  /// need be, rather than split. Smaller values mean more, tighter scans.
+  /// Larger regions are settled by the B+-tree instead: scanned whole, or
+  /// dropped when empty, once their z range lies within one leaf, and
+  /// split otherwise.
   uint64_t scan_cell_threshold = 1024;
 };
 

@@ -193,6 +193,10 @@ void Server::ServeBinary(Conn* conn, std::vector<uint8_t> buf) {
         continue;
       }
       keep_open = HandleFrame(conn, frame, &out);
+      // Serving a frame is not idle time: the idle tick below counts from
+      // the last response, so a request that outlasts the timeout does not
+      // get its connection hung up before the client can send the next.
+      conn->last_frame = std::chrono::steady_clock::now();
     }
     if (!out.empty()) {
       m_bytes_written_->Increment(out.size());
@@ -298,7 +302,9 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame,
     case FrameType::kCount:
     case FrameType::kKnn:
     case FrameType::kExplain: {
-      EncodeFrame(ExecuteQuery(conn, frame), out);
+      const Frame response = ExecuteQuery(conn, frame);
+      if (conn->session_id != 0) sessions_.FinishRequest(conn->session_id);
+      EncodeFrame(response, out);
       break;
     }
     default: {

@@ -36,6 +36,12 @@ Session* SessionManager::Touch(uint64_t id) {
   return it->second.get();
 }
 
+void SessionManager::FinishRequest(uint64_t id) {
+  util::MutexLock lock(&mutex_);
+  auto it = sessions_.find(id);
+  if (it != sessions_.end()) it->second->Touch(Now());
+}
+
 bool SessionManager::Close(uint64_t id) {
   util::MutexLock lock(&mutex_);
   return sessions_.erase(id) != 0;

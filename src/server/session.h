@@ -85,6 +85,12 @@ class SessionManager {
   /// handing out the raw pointer is safe.
   Session* Touch(uint64_t id);
 
+  /// Restarts `id`'s idle clock once a request's response is built, even
+  /// when the request itself outlasted the timeout: time spent serving a
+  /// request is not idle time, so a long query must not expire its own
+  /// session. No-op for unknown ids.
+  void FinishRequest(uint64_t id);
+
   /// Removes the session; false if it did not exist.
   bool Close(uint64_t id);
 

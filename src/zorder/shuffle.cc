@@ -82,7 +82,9 @@ std::vector<DimRange> UnshuffleRegion(const GridSpec& grid, const ZValue& z) {
   for (int dim = 0; dim < grid.dims; ++dim) {
     const int consumed = grid.BitsConsumed(z.length(), dim);
     const int free_bits = d - consumed;
-    ranges[dim].lo = prefix[dim] << free_bits;
+    // Widened: on a 32-bit-per-dimension grid free_bits reaches 32.
+    ranges[dim].lo = static_cast<uint32_t>(
+        static_cast<uint64_t>(prefix[dim]) << free_bits);
     ranges[dim].hi =
         ranges[dim].lo | static_cast<uint32_t>(util::LowMask(free_bits));
   }

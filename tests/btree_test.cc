@@ -1,5 +1,7 @@
 #include "btree/btree.h"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -354,6 +356,78 @@ TEST(BTreeTest, CursorCountsLeafLoads) {
   EXPECT_EQ(steps, 100u);
   EXPECT_EQ(cursor.leaf_loads(), 10u);  // 100 entries / 10 per leaf
   EXPECT_EQ(cursor.leaf_entries_seen(), 100u);
+}
+
+TEST(BTreeTest, SeekWithinLeafAgreesWithTheReferenceModel) {
+  // A tree shaped by inserts (with duplicate runs) and deletes carries
+  // prefix separators and rebalanced leaves. Whenever SeekWithinLeaf
+  // claims a key range for one leaf, that leaf must hold every entry of
+  // the range; otherwise it must not have entered a leaf at all.
+  storage::MemPager pager;
+  storage::BufferPool pool(&pager, 64);
+  BTreeConfig config;
+  config.leaf_capacity = 6;
+  config.internal_capacity = 4;
+  BTree tree(&pool, config);
+  Model model;
+  util::Rng rng(4242);
+  for (uint64_t i = 0; i < 1500; ++i) {
+    const uint64_t v = i % 5 == 4 ? 777 : rng.NextBelow(1 << 16);
+    tree.Insert(Key(v), i);
+    model.insert({Key(v), i});
+  }
+  for (auto it = model.begin(); it != model.end();) {
+    if (rng.NextBelow(3) == 0) {
+      ASSERT_TRUE(tree.Delete(it->first, it->second));
+      it = model.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  ASSERT_TRUE(tree.CheckInvariants());
+
+  int within = 0;
+  int crossing = 0;
+  for (int q = 0; q < 3000; ++q) {
+    // Half the ranges end exactly on a stored key (often the duplicate
+    // run, whose copies straddle leaves under an equal separator).
+    const uint64_t width = uint64_t{1} << rng.NextBelow(14);
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    if (q % 2 == 0) {
+      lo = rng.NextBelow(1 << 16);
+      hi = std::min<uint64_t>(lo + width - 1, (1 << 16) - 1);
+    } else {
+      const auto stored =
+          std::next(model.begin(),
+                    static_cast<std::ptrdiff_t>(rng.NextBelow(model.size())));
+      hi = stored->first.ToZValue().ToInteger();
+      lo = hi >= width ? hi - width + 1 : 0;
+    }
+    std::vector<std::pair<ZKey, uint64_t>> expect;
+    for (auto it = model.lower_bound({Key(lo), 0});
+         it != model.end() && !(Key(hi) < it->first); ++it) {
+      expect.push_back(*it);
+    }
+    BTree::Cursor cursor(&tree);
+    if (!cursor.SeekWithinLeaf(Key(lo), Key(hi))) {
+      ++crossing;
+      EXPECT_EQ(cursor.leaf_loads(), 0u);
+      continue;
+    }
+    ++within;
+    EXPECT_EQ(cursor.leaf_loads(), 1u);
+    std::vector<std::pair<ZKey, uint64_t>> got;
+    if (cursor.Valid()) {
+      const int run = cursor.RunLengthLE(hi);
+      for (int i = 0; i < run; ++i) {
+        got.emplace_back(cursor.PeekEntry(i).key, cursor.PeekEntry(i).payload);
+      }
+    }
+    EXPECT_EQ(got, expect) << "range [" << lo << ", " << hi << "]";
+  }
+  EXPECT_GT(within, 100);
+  EXPECT_GT(crossing, 100);
 }
 
 TEST(BTreeTest, LeafSequenceReportsChainOrder) {

@@ -8,6 +8,7 @@
 #include "util/rng.h"
 #include "workload/datagen.h"
 #include "workload/experiment.h"
+#include "zorder/shuffle.h"
 
 namespace probe::index {
 namespace {
@@ -30,12 +31,31 @@ std::vector<Neighbor> BruteForceKnn(const std::vector<PointRecord>& points,
   for (const auto& r : points) {
     all.push_back(Neighbor{r.id, Distance2(r.point, query)});
   }
-  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance2 != b.distance2) return a.distance2 < b.distance2;
-    return a.id < b.id;
-  });
-  if (all.size() > k) all.resize(k);
+  const size_t keep = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + keep, all.end(),
+                    [](const Neighbor& a, const Neighbor& b) {
+                      if (a.distance2 != b.distance2) {
+                        return a.distance2 < b.distance2;
+                      }
+                      return a.id < b.id;
+                    });
+  all.resize(keep);
   return all;
+}
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& got,
+                         const std::vector<Neighbor>& expect) {
+  ASSERT_EQ(got.size(), expect.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, expect[i].id) << "i=" << i;
+    EXPECT_TRUE(got[i].distance2 == expect[i].distance2) << "i=" << i;
+  }
+}
+
+GridPoint RandomPoint(const GridSpec& grid, util::Rng& rng) {
+  const uint64_t side = uint64_t{1} << grid.bits_per_dim;
+  return GridPoint({static_cast<uint32_t>(rng.NextBelow(side)),
+                    static_cast<uint32_t>(rng.NextBelow(side))});
 }
 
 TEST(KNearestTest, EmptyIndexAndZeroK) {
@@ -114,6 +134,54 @@ TEST(KNearestTest, ThreeDimensional) {
   }
 }
 
+class KnnDynamicTreeTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(KnnDynamicTreeTest, MatchesBruteForceAfterInsertsAndDeletes) {
+  // Leaf and region decisions read the separators of internal pages. A
+  // tree grown by single inserts and shrunk by deletes carries prefix
+  // separators, borrowed and merged leaves and duplicate runs split
+  // across pages; tiny pages make it deep. Answers must stay exact.
+  const GridSpec grid{2, 10};
+  btree::BTreeConfig config =
+      GetParam() ? btree::BTreeConfig::Compressed() : btree::BTreeConfig{};
+  config.leaf_capacity = 8;
+  config.internal_capacity = 4;
+  storage::MemPager pager;
+  storage::BufferPool pool(&pager, 256);
+  ZkdIndex index(grid, &pool, config);
+
+  util::Rng rng(606);
+  std::vector<PointRecord> points;
+  for (uint64_t id = 0; id < 3000; ++id) {
+    // Every fourth point repeats an earlier cell: duplicate runs.
+    const GridPoint point = id % 4 == 3 && !points.empty()
+                                ? points[rng.NextBelow(points.size())].point
+                                : RandomPoint(grid, rng);
+    index.Insert(point, id);
+    points.push_back({point, id});
+  }
+  std::vector<PointRecord> kept;
+  for (const auto& r : points) {
+    if (rng.NextBelow(3) == 0) {
+      ASSERT_TRUE(index.Delete(r.point, r.id));
+    } else {
+      kept.push_back(r);
+    }
+  }
+  for (int q = 0; q < 60; ++q) {
+    const GridPoint query = RandomPoint(grid, rng);
+    const size_t k = 1 + rng.NextBelow(40);
+    ExpectSameNeighbors(KNearest(index, query, k),
+                        BruteForceKnn(kept, query, k));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LeafFormats, KnnDynamicTreeTest,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? "v2" : "v1";
+                         });
+
 TEST(KNearestTest, PruningBeatsFullScan) {
   const GridSpec grid{2, 10};
   workload::DataGenConfig data;
@@ -176,6 +244,117 @@ TEST(KNearestTest, FullResolutionGridCornersDoNotOverflow) {
   ASSERT_EQ(nearest.size(), 1u);
   EXPECT_EQ(nearest[0].id, 0u);
   EXPECT_TRUE(nearest[0].distance2 == static_cast<Dist2>(9 + 25));
+}
+
+TEST(KNearestTest, SparseFullResolutionGridWithDefaultOptions) {
+  // A few thousand points scattered over 2^64 cells: the region tree
+  // below the root is almost all empty space. Default options must still
+  // finish quickly and exactly, because empty regions are dropped on one
+  // B+-tree probe instead of being split down to the scan threshold.
+  const GridSpec grid{2, 32};
+  util::Rng rng(2024);
+  std::vector<PointRecord> points;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    points.push_back({RandomPoint(grid, rng), i});
+  }
+  constexpr uint32_t kMax = ~static_cast<uint32_t>(0);
+  points.push_back({GridPoint({kMax, kMax}), 3000});
+  points.push_back({GridPoint({0, 0}), 3001});
+  storage::MemPager pager;
+  storage::BufferPool pool(&pager, 64);
+  auto index = ZkdIndex::Build(grid, &pool, points);
+
+  std::vector<GridPoint> queries = {GridPoint({0, 0}), GridPoint({kMax, 0}),
+                                    GridPoint({kMax, kMax})};
+  for (int q = 0; q < 30; ++q) queries.push_back(RandomPoint(grid, rng));
+  for (const GridPoint& query : queries) {
+    for (const size_t k : {size_t{1}, size_t{10}}) {
+      NearestStats stats;
+      ExpectSameNeighbors(KNearest(index, query, k, &stats),
+                          BruteForceKnn(points, query, k));
+      EXPECT_LT(stats.regions_expanded, 500u) << query.ToString();
+    }
+  }
+  ExpectSameNeighbors(KNearest(index, GridPoint({7, 9}), points.size() + 5),
+                      BruteForceKnn(points, GridPoint({7, 9}),
+                                    points.size() + 5));
+}
+
+class KnnWorkBoundTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KnnWorkBoundTest, TenNearestTouchesAFewLeaves) {
+  // 200k points on a 2^20 x 2^20 grid. Splitting regions by cell count
+  // alone cost ~100 000 regions and ~50 000 range scans per 10-NN query on
+  // uniform data, and millions on clustered data. Dropping empty regions
+  // and scanning a region that sits on one leaf keeps every query to a
+  // few dozen regions, a handful of scans and a few dozen leaves.
+  const GridSpec grid{2, 20};
+  workload::DataGenConfig data;
+  data.distribution = static_cast<workload::Distribution>(GetParam());
+  data.count = 200000;
+  data.seed = 31 + GetParam();
+  const auto points = GeneratePoints(grid, data);
+  storage::MemPager pager;
+  storage::BufferPool pool(&pager, 256);
+  auto index = ZkdIndex::Build(grid, &pool, points);
+
+  util::Rng rng(4100 + GetParam());
+  NearestStats worst;
+  for (int q = 0; q < 40; ++q) {
+    const GridPoint query = RandomPoint(grid, rng);
+    NearestStats stats;
+    ExpectSameNeighbors(KNearest(index, query, 10, &stats),
+                        BruteForceKnn(points, query, 10));
+    worst.regions_expanded =
+        std::max(worst.regions_expanded, stats.regions_expanded);
+    worst.range_scans = std::max(worst.range_scans, stats.range_scans);
+    worst.leaf_pages = std::max(worst.leaf_pages, stats.leaf_pages);
+  }
+  EXPECT_LT(worst.regions_expanded, 100u);
+  EXPECT_LT(worst.range_scans, 20u);
+  EXPECT_LT(worst.leaf_pages, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(UniformAndClustered, KnnWorkBoundTest,
+                         ::testing::Values(0, 1));
+
+TEST(KNearestTest, OffShardQueriesStayBounded) {
+  // A shard of a range-partitioned engine holds one z interval; k-NN
+  // centers usually fall outside it. Splitting by cell count alone made
+  // such a search expand the empty half of the z space region by region
+  // (millions of regions; minutes per query at this scale). An empty
+  // region is now dropped on one probe, so the search walks straight to
+  // the populated half.
+  const GridSpec grid{2, 20};
+  const int total = grid.total_bits();
+  const uint64_t half = uint64_t{1} << (total - 1);
+  workload::DataGenConfig data;
+  data.count = 240000;
+  data.seed = 57;
+  std::vector<PointRecord> points;
+  for (const auto& r : GeneratePoints(grid, data)) {
+    if (zorder::Shuffle2D(grid, r.point[0], r.point[1]).ToInteger() < half) {
+      points.push_back(r);
+    }
+  }
+  ASSERT_GE(points.size(), 100000u);
+  storage::MemPager pager;
+  storage::BufferPool pool(&pager, 256);
+  auto index = ZkdIndex::Build(grid, &pool, points);
+
+  util::Rng rng(58);
+  int queries = 0;
+  while (queries < 20) {
+    const GridPoint query = RandomPoint(grid, rng);
+    if (zorder::Shuffle2D(grid, query[0], query[1]).ToInteger() < half) {
+      continue;  // Centers go in the half this index does not hold.
+    }
+    ++queries;
+    NearestStats stats;
+    ExpectSameNeighbors(KNearest(index, query, 10, &stats),
+                        BruteForceKnn(points, query, 10));
+    EXPECT_LT(stats.regions_expanded, 500u) << query.ToString();
+  }
 }
 
 TEST(WithinDistanceTest, MatchesBruteForce) {

@@ -84,6 +84,31 @@ TEST(SessionManagerTest, IdleSessionsExpire) {
   EXPECT_EQ(manager.active(), 0u);
 }
 
+TEST(SessionManagerTest, RequestLongerThanTimeoutKeepsSession) {
+  // Serving a request is not idle time: the idle clock restarts when the
+  // response is built, so a request that outlasts the timeout does not
+  // expire its own session.
+  auto now = std::chrono::steady_clock::now();
+  SessionManager manager(milliseconds(50));
+  manager.SetClockForTest([&now] { return now; });
+
+  const uint64_t id = manager.Create(-1, "slow");
+  ASSERT_NE(manager.Touch(id), nullptr);  // the request starts
+  now += milliseconds(200);               // and runs for 200ms
+  manager.FinishRequest(id);              // its response is built
+  now += milliseconds(10);
+  EXPECT_FALSE(manager.Expired(id));
+  ASSERT_NE(manager.Touch(id), nullptr);  // the next request is served
+  manager.FinishRequest(id);
+
+  // Idling past the timeout after a response still expires the session.
+  now += milliseconds(60);
+  EXPECT_TRUE(manager.Expired(id));
+  EXPECT_EQ(manager.Touch(id), nullptr);
+  manager.FinishRequest(12345);  // unknown ids are ignored
+  EXPECT_EQ(manager.active(), 1u);
+}
+
 // ------------------------------------------------------- protocol level
 
 class SessionProtocolTest : public ::testing::Test {
@@ -228,6 +253,55 @@ TEST_F(SessionProtocolTest, IdleSessionExpiresAndConnectionCloses) {
               client.last_status() == Status::kIoError)
       << StatusName(client.last_status());
   EXPECT_EQ(server_->sessions().active(), 0u);
+}
+
+TEST_F(SessionProtocolTest, QueryLongerThanIdleTimeoutKeepsSession) {
+  ServerOptions options;
+  options.idle_timeout = milliseconds(300);
+  StartServer(options);
+
+  // Real-time clock that stalls once: the first reading after the one at
+  // session creation (the query's session lookup) takes its time and then
+  // sleeps 500ms, so the query really runs longer than the 300ms timeout.
+  auto readings = std::make_shared<std::atomic<int>>(0);
+  server_->sessions().SetClockForTest([readings] {
+    const auto now = std::chrono::steady_clock::now();
+    if (readings->fetch_add(1) == 1) {
+      std::this_thread::sleep_for(milliseconds(500));
+    }
+    return now;
+  });
+
+  // HELLO and the query arrive in one buffer, so no idle tick or other
+  // clock reading falls between the two.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<uint8_t> batch;
+  EncodeFrame(HelloRequest{}.ToFrame(1), &batch);
+  CountRequest count;
+  count.box = GridBox::Make2D(0, 50, 0, 50);
+  EncodeFrame(count.ToFrame(2), &batch);
+  ASSERT_EQ(::write(fds[1], batch.data(), batch.size()),
+            static_cast<ssize_t>(batch.size()));
+  server_->ServeConnection(fds[0]);
+  Client client;
+  client.Adopt(fds[1]);
+
+  Frame frame;
+  ASSERT_TRUE(client.Recv(&frame));
+  EXPECT_EQ(frame.type, FrameType::kHelloOk);
+  ASSERT_TRUE(client.Recv(&frame));
+  EXPECT_EQ(frame.type, FrameType::kCountResult);
+  ASSERT_GE(readings->load(), 3);  // creation, lookup, response
+
+  // Idle for 150ms: three of the server's 50ms idle ticks run, but the
+  // idle time counted from the response stays under the timeout, so both
+  // the session and the connection are still there for the next query.
+  std::this_thread::sleep_for(milliseconds(150));
+  uint64_t n = 0;
+  EXPECT_TRUE(client.Count(GridBox::Make2D(0, 50, 0, 50), &n))
+      << StatusName(client.last_status());
+  EXPECT_EQ(server_->sessions().active(), 1u);
 }
 
 TEST_F(SessionProtocolTest, SessionDepthCapAppliesToQueries) {

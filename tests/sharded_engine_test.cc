@@ -178,6 +178,57 @@ INSTANTIATE_TEST_SUITE_P(Workloads, ShardedEngineIdentityTest,
                            return workload::DistributionName(info.param);
                          });
 
+TEST(ShardedEngineTest, KNearestAtScaleMatchesSingleShard) {
+  // Every shard answers every k-NN query, so most of a shard's searches
+  // start from a center outside its own z interval. At this scale a search
+  // that expanded the empty half of the z space by cell count alone ran
+  // for minutes; dropping empty regions bounds it. The gather must still
+  // equal one engine holding all the points, for centers on either shard.
+  constexpr zorder::GridSpec kWideGrid{2, 16};
+  testutil::TempFile tmp_sharded("sharded_knn_two");
+  testutil::TempFile tmp_single("sharded_knn_one");
+  ShardFiles two_files(tmp_sharded.path(), 2);
+  ShardFiles one_files(tmp_single.path(), 1);
+  util::ThreadPool pool(2);
+
+  ShardedEngineOptions two;
+  two.shards = 2;
+  two.truncate = true;
+  ShardedEngineOptions one;
+  one.shards = 1;
+  one.truncate = true;
+  ShardedEngine sharded(kWideGrid, two_files.prefix(), two, &pool);
+  ShardedEngine single(kWideGrid, one_files.prefix(), one, &pool);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_TRUE(single.ok());
+
+  DataGenConfig config;
+  config.count = 100000;
+  config.seed = 2718;
+  const auto ops = InsertOps(workload::GeneratePoints(kWideGrid, config));
+  ASSERT_TRUE(sharded.Apply(ops));
+  ASSERT_TRUE(single.Apply(ops));
+
+  Rng rng(31);
+  int centers_on[2] = {0, 0};
+  while (centers_on[0] < 8 || centers_on[1] < 8) {
+    const GridPoint center({static_cast<uint32_t>(rng.NextBelow(1u << 16)),
+                            static_cast<uint32_t>(rng.NextBelow(1u << 16))});
+    int& on_shard = centers_on[sharded.ShardOf(sharded.ZOf(center))];
+    if (on_shard == 8) continue;
+    ++on_shard;
+    const auto a = sharded.KNearest(center, 10);
+    const auto b = single.KNearest(center, 10);
+    ASSERT_EQ(a.size(), 10u);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a[j].id, b[j].id) << center.ToString() << " j=" << j;
+      EXPECT_TRUE(a[j].distance2 == b[j].distance2)
+          << center.ToString() << " j=" << j;
+    }
+  }
+}
+
 TEST(ShardedEngineTest, RoutingPartitionsTheZSpace) {
   testutil::TempFile tmp("sharded_routing");
   ShardFiles files(tmp.path(), 5);
