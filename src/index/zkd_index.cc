@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "decompose/generator.h"
 #include "obs/runtime_metrics.h"
@@ -23,17 +25,25 @@ using geometry::GridBox;
 using geometry::GridPoint;
 using zorder::ZValue;
 
-
 // Flushes one finished query's aggregates to the process-wide registry —
 // a handful of relaxed adds per *query*, so instrumentation cost never
 // scales with elements or points (the bench_obs overhead budget depends
 // on this). point_seeks is published as the BIGMIN-skip family: every
 // seek past the current position is a skip the merge earned.
-void FlushQueryMetrics(const QueryStats* stats, size_t result_count) {
-  if (stats == nullptr || !obs::Enabled()) return;
+void FlushQueryMetrics(const QueryStats& stats) {
+  if (!obs::Enabled()) return;
   obs::QueryMetrics::Default().RecordQuery(
-      stats->leaf_pages, stats->internal_pages, stats->points_scanned,
-      stats->elements_generated, stats->point_seeks, result_count);
+      stats.leaf_pages, stats.internal_pages, stats.points_scanned,
+      stats.elements_generated, stats.point_seeks, stats.results);
+}
+
+// Hands one finished query's counters to the caller (when `stats` is
+// non-null) and to the registry, and returns its ids.
+std::vector<uint64_t> Finish(std::vector<uint64_t> results,
+                             const QueryStats& merged, QueryStats* stats) {
+  if (stats != nullptr) *stats = merged;
+  FlushQueryMetrics(merged);
+  return results;
 }
 
 // Full-resolution key of a point.
@@ -47,23 +57,29 @@ ZKey IntegerKey(const zorder::GridSpec& grid, uint64_t z) {
 }
 
 void FillCursorStats(const btree::BTree::Cursor& cursor, QueryStats* stats) {
-  if (stats == nullptr) return;
   stats->leaf_pages = cursor.leaf_loads();
   stats->internal_pages = cursor.internal_loads();
   stats->entries_on_touched_pages = cursor.leaf_entries_seen();
 }
 
-void AccumulateStats(QueryStats* into, const QueryStats& part) {
-  into->leaf_pages += part.leaf_pages;
-  into->internal_pages += part.internal_pages;
-  into->points_scanned += part.points_scanned;
-  into->elements_generated += part.elements_generated;
-  into->classify_calls += part.classify_calls;
-  into->point_seeks += part.point_seeks;
-  into->results += part.results;
-  into->entries_on_touched_pages += part.entries_on_touched_pages;
-  into->contained_elements += part.contained_elements;
-  into->materialized_rows += part.materialized_rows;
+// Grid cell of a stored entry.
+GridPoint CellOf(const zorder::GridSpec& grid, const LeafEntry& entry) {
+  return GridPoint(
+      std::span<const uint32_t>(Unshuffle(grid, entry.key.ToZValue())));
+}
+
+// z range [z(lo corner), z(hi corner)] of a box: z is monotone in each
+// coordinate, so the extremes sit at the corners.
+std::pair<uint64_t, uint64_t> BoxZRange(const zorder::GridSpec& grid,
+                                        const GridBox& box) {
+  assert(box.dims() == grid.dims);
+  std::vector<uint32_t> lo_coords(grid.dims), hi_coords(grid.dims);
+  for (int i = 0; i < grid.dims; ++i) {
+    lo_coords[i] = box.range(i).lo;
+    hi_coords[i] = box.range(i).hi;
+  }
+  return {Shuffle(grid, lo_coords).ToInteger(),
+          Shuffle(grid, hi_coords).ToInteger()};
 }
 
 // Interior split points for `partitions` contiguous slices of the z span
@@ -84,6 +100,187 @@ std::vector<uint64_t> EvenSplits(uint64_t lo, uint64_t hi, int partitions) {
 }
 
 }  // namespace
+
+// The merge of step 3 of Section 3.3: the point sequence P (the B+-tree,
+// read through one cursor) against the element sequence B of a query
+// object, generated lazily. The skip merge advances either side by random
+// access — B by SeekForward to the point that ran past the element, P by
+// Seek to the start of an element ahead of it — and so passes over the
+// parts of the space that cannot contribute; the plain merge steps both
+// sides one at a time.
+//
+// The merge is resumable. NextRun() stops each time the cursor sits on an
+// entry inside the current element, and the caller then consumes entries
+// up to the element's end: either a run on the current leaf (TakeRun,
+// cursor().PeekEntry, Skip) or the whole element at once (CountElement).
+// The driver keeps every QueryStats counter and the z-order audits.
+//
+// Ownership: the merge covers exactly the elements whose range *starts* in
+// [owned_lo, owned_hi]. Elements are pairwise disjoint in z, so at most one
+// element straddles owned_lo — it belongs to the previous partition and is
+// skipped; a straddler of owned_hi is merged here in full.
+class ZkdIndex::SkipMerge {
+ public:
+  // `object` must outlive the merge. kBigMin runs as kSkipMerge.
+  SkipMerge(const ZkdIndex& index, const geometry::SpatialObject& object,
+            const SearchOptions& options, uint64_t owned_lo = 0,
+            uint64_t owned_hi = ~0ULL);
+
+  // Moves to the next entry inside the current element; false at the end.
+  bool NextRun();
+
+  // After NextRun(): length of the run of entries inside the element on
+  // the current leaf, from the SIMD interval filter. The caller reads them
+  // with cursor().PeekEntry(k) and then calls Skip(run).
+  int TakeRun();
+  void Skip(int run) { have_point_ = cursor_.Advance(run); }
+
+  // After NextRun(): counts the element's entries from run lengths and
+  // whole-leaf header counts, without decoding a row (aggregate pushdown).
+  uint64_t CountElement();
+
+  // Whether `entry`, taken from a run, is in the answer: always at full
+  // depth; under a depth cap with verification, when its cell lies in the
+  // object. A depth-capped element may cover cells outside the object.
+  bool Accept(const LeafEntry& entry);
+
+  bool verify() const { return verify_; }
+  const zorder::GridSpec& grid() const { return grid_; }
+  btree::BTree::Cursor& cursor() { return cursor_; }
+  QueryStats stats() const;
+
+ private:
+  // Makes `element` current when `have` is set and the element is owned.
+  bool Enter(bool have, const ZValue& element);
+  // Positions P at the current element's start (plain: at P's start).
+  void SeekElement();
+
+  const zorder::GridSpec& grid_;
+  const geometry::SpatialObject& object_;
+  const uint64_t owned_hi_;
+  const bool plain_;
+  const bool verify_;
+  decompose::ElementGenerator generator_;
+  btree::BTree::Cursor cursor_;
+  uint64_t zlo_ = 0;
+  uint64_t zhi_ = 0;
+  bool have_element_ = false;
+  bool have_point_ = false;
+  // The counters the cursor and generator do not keep themselves.
+  QueryStats counted_;
+  // Merge-order audits: B advances strictly in z order, and entries taken
+  // from runs never move backwards.
+  check::ZMonotone element_order_{/*strict=*/true};
+  check::ZMonotone run_order_{/*strict=*/false};
+};
+
+ZkdIndex::SkipMerge::SkipMerge(const ZkdIndex& index,
+                               const geometry::SpatialObject& object,
+                               const SearchOptions& options,
+                               uint64_t owned_lo, uint64_t owned_hi)
+    : grid_(index.grid_),
+      object_(object),
+      owned_hi_(owned_hi),
+      plain_(options.merge == SearchOptions::Merge::kPlainMerge),
+      // A full-depth element is exact for any classifier (a one-cell
+      // crossing region is decided by the classifier itself for boxes; for
+      // general objects the boundary cell counts as inside per the grid
+      // approximation), so verification only matters under a depth cap.
+      verify_(options.verify_candidates && options.max_element_depth >= 0 &&
+              options.max_element_depth < index.grid_.total_bits()),
+      generator_(index.grid_, object,
+                 decompose::DecomposeOptions{options.max_element_depth}),
+      cursor_(&index.tree_) {
+  const int total = grid_.total_bits();
+  ZValue element;
+  bool have = generator_.SeekForward(owned_lo, &element);
+  while (have && element.RangeLo(total) < owned_lo) {
+    have = generator_.Next(&element);
+  }
+  if (!Enter(have, element)) return;
+  if (plain_) {
+    have_point_ = cursor_.SeekFirst();
+  } else {
+    SeekElement();
+  }
+}
+
+bool ZkdIndex::SkipMerge::Enter(bool have, const ZValue& element) {
+  have_element_ = have;
+  if (!have) return false;
+  const int total = grid_.total_bits();
+  zlo_ = element.RangeLo(total);
+  zhi_ = element.RangeHi(total);
+  PROBE_AUDIT(element_order_.Observe(zlo_, "skip-merge element sequence"));
+  // Past owned_hi the elements are another partition's.
+  have_element_ = zlo_ <= owned_hi_;
+  return have_element_;
+}
+
+void ZkdIndex::SkipMerge::SeekElement() {
+  ++counted_.point_seeks;
+  have_point_ = cursor_.Seek(IntegerKey(grid_, zlo_));
+}
+
+bool ZkdIndex::SkipMerge::NextRun() {
+  while (have_point_ && have_element_) {
+    const uint64_t pz = cursor_.entry().key.ToZValue().ToInteger();
+    if (pz > zhi_) {
+      // P ran past the element: advance B (skip: to the first element
+      // that ends at or after pz).
+      ZValue element;
+      if (!Enter(plain_ ? generator_.Next(&element)
+                        : generator_.SeekForward(pz, &element),
+                 element)) {
+        ++counted_.points_scanned;  // the entry that ended the merge
+        return false;
+      }
+      if (pz > zhi_) continue;  // plain: B steps on past pz
+    }
+    if (pz >= zlo_) return true;
+    // pz precedes the element: advance P (skip: to the element's start).
+    ++counted_.points_scanned;
+    if (plain_) {
+      have_point_ = cursor_.Next();
+    } else {
+      SeekElement();
+    }
+  }
+  return false;
+}
+
+int ZkdIndex::SkipMerge::TakeRun() {
+  const int run = cursor_.RunLengthLE(zhi_);
+  PROBE_AUDIT(for (int k = 0; k < run; ++k) run_order_.Observe(
+      cursor_.PeekZ(k), "skip-merge reported points"));
+  counted_.points_scanned += static_cast<uint64_t>(run);
+  return run;
+}
+
+uint64_t ZkdIndex::SkipMerge::CountElement() {
+  ++counted_.contained_elements;
+  const uint64_t count = cursor_.CountWhileLE(zhi_);
+  counted_.results += count;
+  have_point_ = cursor_.Valid();
+  return count;
+}
+
+bool ZkdIndex::SkipMerge::Accept(const LeafEntry& entry) {
+  if (verify_) {
+    ++counted_.materialized_rows;
+    if (!object_.ContainsCell(CellOf(grid_, entry))) return false;
+  }
+  ++counted_.results;
+  return true;
+}
+
+QueryStats ZkdIndex::SkipMerge::stats() const {
+  QueryStats stats = counted_;
+  FillCursorStats(cursor_, &stats);
+  stats.elements_generated = generator_.elements_emitted();
+  stats.classify_calls = generator_.classify_calls();
+  return stats;
+}
 
 ZkdIndex::ZkdIndex(const zorder::GridSpec& grid, storage::BufferPool* pool,
                    const btree::BTreeConfig& config)
@@ -148,33 +345,23 @@ bool ZkdIndex::Delete(const GridPoint& point, uint64_t id) {
 std::vector<uint64_t> ZkdIndex::RangeSearch(const GridBox& box,
                                             QueryStats* stats,
                                             const SearchOptions& options) const {
-  // When the caller doesn't want stats but metrics are on, collect into a
-  // local so the registry still sees the query.
-  QueryStats local;
-  QueryStats* s = stats != nullptr ? stats : (obs::Enabled() ? &local : nullptr);
-  std::vector<uint64_t> results;
+  QueryStats merged;
   if (options.merge == SearchOptions::Merge::kBigMin) {
-    results = SearchBigMin(box, s);
-  } else {
-    const geometry::BoxObject object(box);
-    results = SearchDecomposed(object, s, options);
+    const auto [zmin, zmax] = BoxZRange(grid_, box);
+    return Finish(BigMinPartition(zmin, zmax, zmin, zmax, &merged), merged,
+                  stats);
   }
-  FlushQueryMetrics(s, results.size());
-  return results;
+  return Finish(MergePartition(geometry::BoxObject(box), 0, ~0ULL, options,
+                               &merged),
+                merged, stats);
 }
 
 std::vector<uint64_t> ZkdIndex::SearchObject(
     const geometry::SpatialObject& object, QueryStats* stats,
     const SearchOptions& options) const {
-  SearchOptions effective = options;
-  if (effective.merge == SearchOptions::Merge::kBigMin) {
-    effective.merge = SearchOptions::Merge::kSkipMerge;  // needs a box
-  }
-  QueryStats local;
-  QueryStats* s = stats != nullptr ? stats : (obs::Enabled() ? &local : nullptr);
-  std::vector<uint64_t> results = SearchDecomposed(object, s, effective);
-  FlushQueryMetrics(s, results.size());
-  return results;
+  QueryStats merged;
+  return Finish(MergePartition(object, 0, ~0ULL, options, &merged), merged,
+                stats);
 }
 
 uint64_t ZkdIndex::CountRange(uint64_t zlo, uint64_t zhi,
@@ -190,84 +377,34 @@ uint64_t ZkdIndex::CountRange(uint64_t zlo, uint64_t zhi,
     FillCursorStats(cursor, &part);
     part.point_seeks = 1;
     part.results = count;
-    AccumulateStats(stats, part);
+    *stats += part;
   }
   return count;
 }
 
 uint64_t ZkdIndex::CountBox(const geometry::GridBox& box, QueryStats* stats,
                             const SearchOptions& options) const {
-  const int total = grid_.total_bits();
   const geometry::BoxObject object(box);
-  decompose::DecomposeOptions dopts;
-  dopts.max_depth = options.max_element_depth;
-  decompose::ElementGenerator generator(grid_, object, dopts);
-
-  // At full depth every element region lies inside the box, so whole
-  // elements count by interval arithmetic; a depth cap makes boundary
-  // elements overcover and forces per-row verification (same criterion
-  // as MergePartition).
-  const bool verify =
-      options.verify_candidates && options.max_element_depth >= 0 &&
-      options.max_element_depth < total;
-
+  // The scope must outlive the merge, whose cursor keeps its leaf pinned.
   storage::PinBalanceScope pin_scope("ZkdIndex::CountBox");
-  btree::BTree::Cursor cursor(&tree_);
-  QueryStats part;
+  SkipMerge merge(*this, object, options);
   uint64_t count = 0;
-  ZValue element;
-
-  bool have_element = generator.Next(&element);
-  if (have_element) {
-    uint64_t zlo = element.RangeLo(total);
-    uint64_t zhi = element.RangeHi(total);
-    ++part.point_seeks;
-    bool have_point = cursor.Seek(IntegerKey(grid_, zlo));
-    while (have_point) {
-      const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
-      if (pz < zlo) {
-        ++part.point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-        continue;
-      }
-      if (pz <= zhi) {
-        if (!verify) {
-          // Contained element: sum run lengths and whole-leaf header
-          // counts; no row is decoded or materialized.
-          ++part.contained_elements;
-          count += cursor.CountWhileLE(zhi);
-          have_point = cursor.Valid();
-        } else {
-          while (have_point) {
-            const uint64_t qz = cursor.entry().key.ToZValue().ToInteger();
-            if (qz > zhi) break;
-            ++part.points_scanned;
-            ++part.materialized_rows;
-            const GridPoint candidate(std::span<const uint32_t>(
-                Unshuffle(grid_, cursor.entry().key.ToZValue())));
-            if (object.ContainsCell(candidate)) ++count;
-            have_point = cursor.Next();
-          }
-        }
-        continue;  // the cursor now sits past zhi (or is exhausted)
-      }
-      // The point ran past the element: random access on B.
-      if (!generator.SeekForward(pz, &element)) break;
-      zlo = element.RangeLo(total);
-      zhi = element.RangeHi(total);
-      if (pz < zlo) {
-        ++part.point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-      }
+  while (merge.NextRun()) {
+    if (!merge.verify()) {
+      // No entry of the element needs a check (at full depth the element
+      // lies inside the box): count it whole.
+      count += merge.CountElement();
+      continue;
     }
+    const int run = merge.TakeRun();
+    for (int k = 0; k < run; ++k) {
+      if (merge.Accept(merge.cursor().PeekEntry(k))) ++count;
+    }
+    merge.Skip(run);
   }
-
-  FillCursorStats(cursor, &part);
-  part.elements_generated = generator.elements_emitted();
-  part.classify_calls = generator.classify_calls();
-  part.results = count;
-  if (stats != nullptr) AccumulateStats(stats, part);
-  FlushQueryMetrics(&part, static_cast<size_t>(count));
+  const QueryStats part = merge.stats();
+  if (stats != nullptr) *stats += part;
+  FlushQueryMetrics(part);
   return count;
 }
 
@@ -287,199 +424,46 @@ std::vector<uint64_t> ZkdIndex::PartialMatch(
   return RangeSearch(GridBox(ranges), stats, options);
 }
 
-void ZkdIndex::MergePartition(const geometry::SpatialObject& object,
-                              uint64_t owned_lo, uint64_t owned_hi,
-                              const SearchOptions& options,
-                              std::vector<uint64_t>* results,
-                              QueryStats* stats) const {
-  const int total = grid_.total_bits();
-  decompose::DecomposeOptions dopts;
-  dopts.max_depth = options.max_element_depth;
-  decompose::ElementGenerator generator(grid_, object, dopts);
-
-  // Decide whether candidate verification can ever reject: a full-depth
-  // element is exact for any classifier (a one-cell crossing region is
-  // decided by the classifier itself for boxes; for general objects the
-  // boundary cell counts as inside per the grid approximation), so
-  // verification only matters when the decomposition is depth-capped.
-  const bool verify =
-      options.verify_candidates && options.max_element_depth >= 0 &&
-      options.max_element_depth < total;
-
-  auto report = [&](const LeafEntry& entry) {
-    if (verify) {
-      const GridPoint candidate(std::span<const uint32_t>(
-          Unshuffle(grid_, entry.key.ToZValue())));
-      if (!object.ContainsCell(candidate)) return;
-    }
-    results->push_back(entry.payload);
-  };
-
-  // Merge-order invariants (Section 3.3): the element sequence B advances
-  // strictly in z order, and reported points never move backwards. Every
-  // page pinned by this partition is released before it returns — the
-  // scope must outlive the cursor, which keeps its current leaf pinned.
+std::vector<uint64_t> ZkdIndex::MergePartition(
+    const geometry::SpatialObject& object, uint64_t owned_lo,
+    uint64_t owned_hi, const SearchOptions& options, QueryStats* stats) const {
+  // Every page pinned by this partition is released before it returns.
+  // The scope must outlive the merge, whose cursor keeps its leaf pinned.
   storage::PinBalanceScope pin_scope("ZkdIndex::MergePartition");
-
-  btree::BTree::Cursor cursor(&tree_);
-  ZValue element;
-  uint64_t points_scanned = 0;
-  uint64_t point_seeks = 0;
-
-  check::ZMonotone element_order(/*strict=*/true);
-  check::ZMonotone report_order(/*strict=*/false);
-
-  // The optimized merge of Section 3.3: random access on B (SeekForward)
-  // and on P (Seek) skips the parts of the space that cannot contribute.
-  // Ownership: this partition merges exactly the elements whose range
-  // *starts* in [owned_lo, owned_hi]. Elements are pairwise disjoint in z,
-  // so at most one element straddles owned_lo — it belongs to the previous
-  // partition and is skipped; a straddler of owned_hi is merged here in
-  // full.
-  bool have_element = owned_lo == 0
-                          ? generator.Next(&element)
-                          : generator.SeekForward(owned_lo, &element);
-  while (have_element && element.RangeLo(total) < owned_lo) {
-    have_element = generator.Next(&element);
-  }
-  if (have_element && element.RangeLo(total) > owned_hi) have_element = false;
-  if (have_element) {
-    uint64_t zlo = element.RangeLo(total);
-    uint64_t zhi = element.RangeHi(total);
-    PROBE_AUDIT(element_order.Observe(zlo, "skip-merge element sequence"));
-    ++point_seeks;
-    bool have_point = cursor.Seek(IntegerKey(grid_, zlo));
-    while (have_point) {
-      const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
-      ++points_scanned;
-      if (pz < zlo) {
-        // Random access on P: jump to the element's start.
-        ++point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-        continue;
-      }
-      if (pz <= zhi) {
-        // The point is inside the element: consume the whole run of
-        // qualifying entries on this leaf at once. RunLengthLE is the
-        // SIMD interval filter over the leaf's decoded z array; the
-        // outer loop re-enters here when the element straddles leaves.
-        const int run = cursor.RunLengthLE(zhi);
-        for (int k = 0; k < run; ++k) {
-          PROBE_AUDIT(report_order.Observe(cursor.PeekZ(k),
-                                           "skip-merge reported points"));
-          report(cursor.PeekEntry(k));
-        }
-        // The first run entry was already counted at the loop head.
-        points_scanned += static_cast<uint64_t>(run) - 1;
-        have_point = cursor.Advance(run);
-        continue;
-      }
-      // pz ran past the element: random access on B.
-      if (!generator.SeekForward(pz, &element)) break;
-      zlo = element.RangeLo(total);
-      zhi = element.RangeHi(total);
-      PROBE_AUDIT(element_order.Observe(zlo, "skip-merge element sequence"));
-      if (zlo > owned_hi) break;  // the next element is another partition's
-      if (pz < zlo) {
-        ++point_seeks;
-        have_point = cursor.Seek(IntegerKey(grid_, zlo));
-      }
-      // Otherwise the current point lies inside the new element and the
-      // next loop iteration reports it.
-    }
-  }
-
-  QueryStats part;
-  FillCursorStats(cursor, &part);
-  part.points_scanned = points_scanned;
-  part.point_seeks = point_seeks;
-  part.elements_generated = generator.elements_emitted();
-  part.classify_calls = generator.classify_calls();
-  part.results = results->size();
-  AccumulateStats(stats, part);
-}
-
-std::vector<uint64_t> ZkdIndex::SearchDecomposed(
-    const geometry::SpatialObject& object, QueryStats* stats,
-    const SearchOptions& options) const {
+  SkipMerge merge(*this, object, options, owned_lo, owned_hi);
   std::vector<uint64_t> results;
-
-  if (options.merge != SearchOptions::Merge::kPlainMerge) {
-    QueryStats merged;
-    MergePartition(object, 0, ~0ULL, options, &results, &merged);
-    if (stats != nullptr) *stats = merged;
-    return results;
-  }
-
-  // Step 3 of Section 3.3 verbatim: a linear merge of P and B.
-  const int total = grid_.total_bits();
-  decompose::DecomposeOptions dopts;
-  dopts.max_depth = options.max_element_depth;
-  decompose::ElementGenerator generator(grid_, object, dopts);
-  const bool verify =
-      options.verify_candidates && options.max_element_depth >= 0 &&
-      options.max_element_depth < total;
-
-  auto report = [&](const LeafEntry& entry) {
-    if (verify) {
-      const GridPoint candidate(std::span<const uint32_t>(
-          Unshuffle(grid_, entry.key.ToZValue())));
-      if (!object.ContainsCell(candidate)) return;
+  while (merge.NextRun()) {
+    const int run = merge.TakeRun();
+    for (int k = 0; k < run; ++k) {
+      const LeafEntry& entry = merge.cursor().PeekEntry(k);
+      if (merge.Accept(entry)) results.push_back(entry.payload);
     }
-    results.push_back(entry.payload);
-  };
-
-  btree::BTree::Cursor cursor(&tree_);
-  ZValue element;
-  uint64_t points_scanned = 0;
-  bool have_point = cursor.SeekFirst();
-  bool have_element = generator.Next(&element);
-  while (have_point && have_element) {
-    const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
-    const uint64_t zlo = element.RangeLo(total);
-    const uint64_t zhi = element.RangeHi(total);
-    ++points_scanned;
-    if (pz < zlo) {
-      have_point = cursor.Next();
-    } else if (pz > zhi) {
-      --points_scanned;  // the same point is re-examined next round
-      have_element = generator.Next(&element);
-    } else {
-      report(cursor.entry());
-      have_point = cursor.Next();
-    }
+    merge.Skip(run);
   }
-
-  if (stats != nullptr) {
-    FillCursorStats(cursor, stats);
-    stats->points_scanned = points_scanned;
-    stats->point_seeks = 0;
-    stats->elements_generated = generator.elements_emitted();
-    stats->classify_calls = generator.classify_calls();
-    stats->results = results.size();
-  }
+  *stats += merge.stats();
   return results;
 }
 
-void ZkdIndex::BigMinPartition(uint64_t zmin, uint64_t zmax, uint64_t from,
-                               uint64_t upto, std::vector<uint64_t>* results,
-                               QueryStats* stats) const {
+std::vector<uint64_t> ZkdIndex::BigMinPartition(uint64_t zmin, uint64_t zmax,
+                                                uint64_t from, uint64_t upto,
+                                                QueryStats* stats) const {
   // The BIGMIN walk must move strictly forward in z (each skip lands past
   // the current point) and leave no pinned pages behind. The scope must
   // outlive the cursor, which keeps its current leaf pinned.
   storage::PinBalanceScope pin_scope("ZkdIndex::BigMinPartition");
   btree::BTree::Cursor cursor(&tree_);
-  uint64_t points_scanned = 0;
-  uint64_t point_seeks = 1;
+  std::vector<uint64_t> results;
+  QueryStats part;
+  part.point_seeks = 1;
   check::ZMonotone scan_order(/*strict=*/false);
   bool have_point = cursor.Seek(IntegerKey(grid_, from));
   while (have_point) {
     const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
     if (pz > upto) break;
     PROBE_AUDIT(scan_order.Observe(pz, "BIGMIN point scan"));
-    ++points_scanned;
+    ++part.points_scanned;
     if (InBox(grid_, pz, zmin, zmax)) {
-      results->push_back(cursor.entry().payload);
+      results.push_back(cursor.entry().payload);
       have_point = cursor.Next();
       continue;
     }
@@ -489,33 +473,13 @@ void ZkdIndex::BigMinPartition(uint64_t zmin, uint64_t zmax, uint64_t from,
                                           next_z, /*is_bigmin=*/true));
     if (!found) break;
     if (next_z > upto) break;  // the rest of the box is another partition's
-    ++point_seeks;
+    ++part.point_seeks;
     have_point = cursor.Seek(IntegerKey(grid_, next_z));
   }
 
-  QueryStats part;
   FillCursorStats(cursor, &part);
-  part.points_scanned = points_scanned;
-  part.point_seeks = point_seeks;
-  part.results = results->size();
-  AccumulateStats(stats, part);
-}
-
-std::vector<uint64_t> ZkdIndex::SearchBigMin(const GridBox& box,
-                                             QueryStats* stats) const {
-  assert(box.dims() == grid_.dims);
-  std::vector<uint64_t> results;
-  std::vector<uint32_t> lo_coords(grid_.dims), hi_coords(grid_.dims);
-  for (int i = 0; i < grid_.dims; ++i) {
-    lo_coords[i] = box.range(i).lo;
-    hi_coords[i] = box.range(i).hi;
-  }
-  const uint64_t zmin = Shuffle(grid_, lo_coords).ToInteger();
-  const uint64_t zmax = Shuffle(grid_, hi_coords).ToInteger();
-
-  QueryStats merged;
-  BigMinPartition(zmin, zmax, zmin, zmax, &results, &merged);
-  if (stats != nullptr) *stats = merged;
+  part.results = results.size();
+  *stats += part;
   return results;
 }
 
@@ -523,49 +487,29 @@ std::vector<uint64_t> ZkdIndex::ParallelDecomposed(
     const geometry::SpatialObject& object,
     std::span<const uint64_t> split_points, util::ThreadPool& pool,
     QueryStats* stats, const SearchOptions& options) const {
+  SearchOptions skip = options;
+  skip.merge = SearchOptions::Merge::kSkipMerge;  // plain has no partitions
   const size_t parts = split_points.size() + 1;
-  std::vector<std::vector<uint64_t>> partial(parts);
-  std::vector<QueryStats> partial_stats(parts);
-  pool.ParallelFor(parts, [&](size_t k) {
+  return Concat(RunParts(pool, parts, stats, [&](size_t k, QueryStats* st) {
     const uint64_t lo = k == 0 ? 0 : split_points[k - 1];
     const uint64_t hi = k + 1 == parts ? ~0ULL : split_points[k] - 1;
-    MergePartition(object, lo, hi, options, &partial[k], &partial_stats[k]);
-  });
-
-  size_t total_results = 0;
-  for (const auto& p : partial) total_results += p.size();
-  std::vector<uint64_t> results;
-  results.reserve(total_results);
-  for (size_t k = 0; k < parts; ++k) {
-    results.insert(results.end(), partial[k].begin(), partial[k].end());
-    if (stats != nullptr) AccumulateStats(stats, partial_stats[k]);
-  }
-  return results;
+    return MergePartition(object, lo, hi, skip, st);
+  }));
 }
 
 std::vector<uint64_t> ZkdIndex::ParallelRangeSearch(
     const GridBox& box, util::ThreadPool& pool, int partitions,
     QueryStats* stats, const SearchOptions& options) const {
-  assert(box.dims() == grid_.dims);
-  QueryStats local;
-  if (stats == nullptr && obs::Enabled()) stats = &local;
-  if (stats != nullptr) *stats = QueryStats{};
-  const int parts = partitions > 0 ? partitions : pool.lanes();
-
-  std::vector<uint32_t> lo_coords(grid_.dims), hi_coords(grid_.dims);
-  for (int i = 0; i < grid_.dims; ++i) {
-    lo_coords[i] = box.range(i).lo;
-    hi_coords[i] = box.range(i).hi;
-  }
-  const uint64_t zmin = Shuffle(grid_, lo_coords).ToInteger();
-  const uint64_t zmax = Shuffle(grid_, hi_coords).ToInteger();
+  QueryStats merged;
+  const auto [zmin, zmax] = BoxZRange(grid_, box);
 
   // Candidate split points, snapped *into* the box with BIGMIN: a raw even
   // split may land in a z region the box never visits, which would leave
   // its partition idle. Snapping keeps the points ascending (BIGMIN is
   // monotone); collapsed or exhausted splits just shrink the fan-out.
   std::vector<uint64_t> splits;
-  for (const uint64_t raw : EvenSplits(zmin, zmax, parts)) {
+  for (const uint64_t raw :
+       EvenSplits(zmin, zmax, partitions > 0 ? partitions : pool.lanes())) {
     uint64_t snapped = raw;
     if (!InBox(grid_, snapped, zmin, zmax) &&
         !BigMin(grid_, snapped, zmin, zmax, &snapped)) {
@@ -577,116 +521,62 @@ std::vector<uint64_t> ZkdIndex::ParallelRangeSearch(
   }
 
   if (options.merge == SearchOptions::Merge::kBigMin) {
-    const size_t bparts = splits.size() + 1;
-    std::vector<std::vector<uint64_t>> partial(bparts);
-    std::vector<QueryStats> partial_stats(bparts);
-    pool.ParallelFor(bparts, [&](size_t k) {
+    const size_t parts = splits.size() + 1;
+    auto part = [&](size_t k, QueryStats* st) {
       const uint64_t from = k == 0 ? zmin : splits[k - 1];
-      const uint64_t upto = k + 1 == bparts ? zmax : splits[k] - 1;
-      BigMinPartition(zmin, zmax, from, upto, &partial[k],
-                      &partial_stats[k]);
-    });
-    size_t total_results = 0;
-    for (const auto& p : partial) total_results += p.size();
-    std::vector<uint64_t> results;
-    results.reserve(total_results);
-    for (size_t k = 0; k < bparts; ++k) {
-      results.insert(results.end(), partial[k].begin(), partial[k].end());
-      if (stats != nullptr) AccumulateStats(stats, partial_stats[k]);
-    }
-    FlushQueryMetrics(stats, results.size());
-    return results;
+      const uint64_t upto = k + 1 == parts ? zmax : splits[k] - 1;
+      return BigMinPartition(zmin, zmax, from, upto, st);
+    };
+    return Finish(Concat(RunParts(pool, parts, &merged, part)), merged,
+                  stats);
   }
-
-  const geometry::BoxObject object(box);
-  std::vector<uint64_t> results =
-      ParallelDecomposed(object, splits, pool, stats, options);
-  FlushQueryMetrics(stats, results.size());
-  return results;
+  return Finish(ParallelDecomposed(geometry::BoxObject(box), splits, pool,
+                                   &merged, options),
+                merged, stats);
 }
 
 std::vector<uint64_t> ZkdIndex::ParallelSearchObject(
     const geometry::SpatialObject& object, util::ThreadPool& pool,
     int partitions, QueryStats* stats, const SearchOptions& options) const {
-  QueryStats local;
-  if (stats == nullptr && obs::Enabled()) stats = &local;
-  if (stats != nullptr) *stats = QueryStats{};
+  QueryStats merged;
   const int parts = partitions > 0 ? partitions : pool.lanes();
   const int total = grid_.total_bits();
   const uint64_t zmax = total < 64 ? (1ULL << total) - 1 : ~0ULL;
-  const std::vector<uint64_t> splits = EvenSplits(0, zmax, parts);
-  std::vector<uint64_t> results =
-      ParallelDecomposed(object, splits, pool, stats, options);
-  FlushQueryMetrics(stats, results.size());
-  return results;
+  return Finish(ParallelDecomposed(object, EvenSplits(0, zmax, parts), pool,
+                                   &merged, options),
+                merged, stats);
 }
 
-ZkdIndex::RangeCursor::RangeCursor(const ZkdIndex& index,
-                                   const geometry::GridBox& box)
-    : index_(index), box_object_(box) {
-  generator_ = std::make_unique<decompose::ElementGenerator>(index_.grid_,
-                                                             box_object_);
-  cursor_ = std::make_unique<btree::BTree::Cursor>(&index_.tree_);
-  zorder::ZValue element;
-  have_element_ = generator_->Next(&element);
-  if (have_element_) {
-    const int total = index_.grid_.total_bits();
-    zlo_ = element.RangeLo(total);
-    zhi_ = element.RangeHi(total);
-    ++stats_.point_seeks;
-    have_point_ = cursor_->Seek(IntegerKey(index_.grid_, zlo_));
-  }
-}
+ZkdIndex::RangeCursor::RangeCursor(const ZkdIndex& index, const GridBox& box,
+                                   const SearchOptions& options)
+    : box_(std::make_unique<const geometry::BoxObject>(box)),
+      merge_(std::make_unique<SkipMerge>(index, *box_, options)) {}
+
+ZkdIndex::RangeCursor::RangeCursor(RangeCursor&&) noexcept = default;
 
 ZkdIndex::RangeCursor::~RangeCursor() {
   // A cursor is one query from the registry's point of view: flush its
   // aggregates when it dies, however far the caller drained it.
-  FlushQueryMetrics(&stats_, stats_.results);
+  if (merge_ != nullptr) FlushQueryMetrics(stats());  // null: moved from
 }
 
-bool ZkdIndex::RangeCursor::Next(uint64_t* id, geometry::GridPoint* point) {
-  const int total = index_.grid_.total_bits();
-  bool found = false;
-  while (have_point_ && have_element_) {
-    const uint64_t pz = cursor_->entry().key.ToZValue().ToInteger();
-    ++stats_.points_scanned;
-    if (pz < zlo_) {
-      ++stats_.point_seeks;
-      have_point_ = cursor_->Seek(IntegerKey(index_.grid_, zlo_));
-      continue;
+bool ZkdIndex::RangeCursor::Next(uint64_t* id, GridPoint* point) {
+  for (;;) {
+    while (pos_ < run_) {
+      const LeafEntry& entry = merge_->cursor().PeekEntry(pos_++);
+      if (!merge_->Accept(entry)) continue;
+      *id = entry.payload;
+      if (point != nullptr) *point = CellOf(merge_->grid(), entry);
+      return true;
     }
-    if (pz <= zhi_) {
-      PROBE_AUDIT(match_order_.Observe(pz, "RangeCursor match stream"));
-      *id = cursor_->entry().payload;
-      if (point != nullptr) {
-        *point = geometry::GridPoint(std::span<const uint32_t>(
-            Unshuffle(index_.grid_, cursor_->entry().key.ToZValue())));
-      }
-      ++stats_.results;
-      have_point_ = cursor_->Next();
-      found = true;
-      break;
-    }
-    --stats_.points_scanned;  // this point is re-examined next round
-    zorder::ZValue element;
-    if (!generator_->SeekForward(pz, &element)) {
-      have_element_ = false;
-      break;
-    }
-    zlo_ = element.RangeLo(total);
-    zhi_ = element.RangeHi(total);
-    if (pz < zlo_) {
-      ++stats_.point_seeks;
-      have_point_ = cursor_->Seek(IntegerKey(index_.grid_, zlo_));
-    }
+    if (run_ > 0) merge_->Skip(run_);
+    run_ = pos_ = 0;
+    if (!merge_->NextRun()) return false;
+    run_ = merge_->TakeRun();
   }
-  stats_.leaf_pages = cursor_->leaf_loads();
-  stats_.internal_pages = cursor_->internal_loads();
-  stats_.entries_on_touched_pages = cursor_->leaf_entries_seen();
-  stats_.elements_generated = generator_->elements_emitted();
-  stats_.classify_calls = generator_->classify_calls();
-  return found;
 }
+
+QueryStats ZkdIndex::RangeCursor::stats() const { return merge_->stats(); }
 
 std::vector<ZkdIndex::LeafInfo> ZkdIndex::LeafPartitions() const {
   std::vector<LeafInfo> infos;

@@ -2,20 +2,18 @@
 #define PROBE_INDEX_ZKD_INDEX_H_
 
 #include <cstdint>
-#include <span>
-#include <vector>
-
 #include <memory>
+#include <span>
+#include <type_traits>
+#include <vector>
 
 #include "btree/btree.h"
 #include "btree/external_sort.h"
 #include "decompose/decomposer.h"
-#include "decompose/generator.h"
 #include "geometry/box.h"
 #include "geometry/object.h"
 #include "geometry/point.h"
 #include "geometry/primitives.h"
-#include "probe/check.h"
 #include "util/thread_pool.h"
 #include "zorder/grid.h"
 
@@ -24,17 +22,27 @@
 ///
 /// Points are stored in a prefix B+-tree keyed by their full-resolution z
 /// values (Section 3.3 step 1). A query object is decomposed into elements
-/// on demand (steps 2); the merge of the point sequence P and the element
-/// sequence B (step 3) — with the random-access skipping optimization —
-/// answers the query. Three merge strategies are provided so the benches
-/// can ablate the optimizations the paper describes:
+/// on demand (step 2), and step 3 merges the point sequence P with the
+/// element sequence B. That merge is written once, as a resumable driver
+/// private to this file's implementation. It stops on each run of points
+/// inside the current element, and three callers consume the runs:
+///
+///  * RangeSearch, SearchObject and the Parallel* partitions collect ids;
+///  * CountBox counts whole elements from run lengths and leaf headers;
+///  * RangeCursor streams the ids one at a time.
+///
+/// All three honour SearchOptions alike: the depth cap, candidate
+/// verification and the merge strategy. Two strategies ablate the
+/// optimization the paper describes:
 ///
 ///  * kSkipMerge  — the paper's algorithm: lazy element generation plus
 ///                  two-sided random-access skipping.
-///  * kPlainMerge — the unoptimized O(|P| + |B|) merge of step 3, scanning
-///                  both sequences end to end.
-///  * kBigMin     — no decomposition at all: skip directly with the
-///                  BIGMIN computation over the query box's z range.
+///  * kPlainMerge — the same merge with both sides stepped one at a time:
+///                  the unoptimized O(|P| + |B|) merge of step 3.
+///
+/// A third, kBigMin, decomposes nothing: it skips directly with the BIGMIN
+/// computation over the query box's z range (RangeSearch and
+/// ParallelRangeSearch only).
 
 namespace probe::index {
 
@@ -50,7 +58,8 @@ struct QueryStats {
   uint64_t leaf_pages = 0;
   /// Internal pages touched by Seek descents.
   uint64_t internal_pages = 0;
-  /// Entries examined during the merge.
+  /// Entries the merge examined, each counted once: those it took as
+  /// candidates and those it skipped past or stopped at.
   uint64_t points_scanned = 0;
   /// Elements of the query object produced by the generator.
   uint64_t elements_generated = 0;
@@ -65,9 +74,25 @@ struct QueryStats {
   /// Aggregate pushdown: elements counted wholesale — their entries were
   /// summed from run lengths and page headers, never decoded into rows.
   uint64_t contained_elements = 0;
-  /// Rows an aggregate had to materialize and verify individually (only
-  /// depth-capped decompositions, whose boundary elements overcover).
+  /// Rows decoded and verified one by one against the query object (only
+  /// depth-capped decompositions, whose boundary elements overcover). A
+  /// full-depth count materializes none.
   uint64_t materialized_rows = 0;
+
+  /// Adds another query's (or partition's) counters to these.
+  QueryStats& operator+=(const QueryStats& other) {
+    leaf_pages += other.leaf_pages;
+    internal_pages += other.internal_pages;
+    points_scanned += other.points_scanned;
+    elements_generated += other.elements_generated;
+    classify_calls += other.classify_calls;
+    point_seeks += other.point_seeks;
+    results += other.results;
+    entries_on_touched_pages += other.entries_on_touched_pages;
+    contained_elements += other.contained_elements;
+    materialized_rows += other.materialized_rows;
+    return *this;
+  }
 
   /// The paper's efficiency measure: fraction of retrieved data that was
   /// relevant (results / entries_on_touched_pages); 1 when nothing was
@@ -96,8 +121,39 @@ struct SearchOptions {
   bool verify_candidates = true;
 };
 
+/// The gather step of every partitioned query: runs `part(k, &stats_k)`
+/// for each k in [0, parts) on `pool`, adds each part's stats to `*stats`
+/// (when non-null) in k order, and returns the part results in k order.
+template <typename Part>
+auto RunParts(util::ThreadPool& pool, size_t parts, QueryStats* stats,
+              Part&& part) {
+  std::vector<std::invoke_result_t<Part&, size_t, QueryStats*>> results(parts);
+  std::vector<QueryStats> part_stats(parts);
+  pool.ParallelFor(parts,
+                   [&](size_t k) { results[k] = part(k, &part_stats[k]); });
+  if (stats != nullptr) {
+    for (const QueryStats& s : part_stats) *stats += s;
+  }
+  return results;
+}
+
+/// Concatenates part outputs in order. Parts that cover consecutive z
+/// intervals and report in z order concatenate into the serial answer.
+template <typename T>
+std::vector<T> Concat(const std::vector<std::vector<T>>& parts) {
+  size_t total = 0;
+  for (const auto& p : parts) total += p.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
 /// Point index over a z-ordered prefix B+-tree.
 class ZkdIndex {
+  // The Section 3.3 merge driver behind every query below (zkd_index.cc).
+  class SkipMerge;
+
  public:
   /// Creates an empty index. The pool must outlive the index.
   ZkdIndex(const zorder::GridSpec& grid, storage::BufferPool* pool,
@@ -211,34 +267,35 @@ class ZkdIndex {
 
   /// Streaming range query: pulls matching points one at a time instead of
   /// materializing the result vector — the shape a query executor's
-  /// iterator tree wants. Runs the same skip merge as RangeSearch.
+  /// iterator tree wants. The same merge as RangeSearch under the same
+  /// options (kBigMin, which has no element sequence, runs as kSkipMerge):
+  /// the ids, their order and every QueryStats counter match RangeSearch's
+  /// once the cursor is drained. It takes one run of entries at a time from
+  /// the merge, so a consumer that stops early pays only for the runs it
+  /// reached.
   class RangeCursor {
    public:
-    /// The index and box must outlive the cursor.
-    RangeCursor(const ZkdIndex& index, const geometry::GridBox& box);
+    /// The index must outlive the cursor.
+    RangeCursor(const ZkdIndex& index, const geometry::GridBox& box,
+                const SearchOptions& options = {});
     ~RangeCursor();
 
-    RangeCursor(RangeCursor&&) = default;
+    RangeCursor(RangeCursor&&) noexcept;
 
     /// Fetches the next match (ascending z order). Returns false at the
     /// end. `point` may be null when only ids are wanted.
     bool Next(uint64_t* id, geometry::GridPoint* point = nullptr);
 
     /// Work counters so far (results counts the Next() successes).
-    const QueryStats& stats() const { return stats_; }
+    QueryStats stats() const;
 
    private:
-    const ZkdIndex& index_;
-    geometry::BoxObject box_object_;
-    std::unique_ptr<decompose::ElementGenerator> generator_;
-    std::unique_ptr<btree::BTree::Cursor> cursor_;
-    uint64_t zlo_ = 0;
-    uint64_t zhi_ = 0;
-    bool have_element_ = false;
-    bool have_point_ = false;
-    QueryStats stats_;
-    // Audit state: matches must stream in non-decreasing z order.
-    check::ZMonotone match_order_;
+    // Heap-held so the cursor can move: the merge refers to the box.
+    std::unique_ptr<const geometry::BoxObject> box_;
+    std::unique_ptr<SkipMerge> merge_;
+    // The run being served: entries [pos_, run_) of the current leaf.
+    int run_ = 0;
+    int pos_ = 0;
   };
 
   /// First key of every leaf page, in z order, plus per-leaf entry counts.
@@ -263,30 +320,24 @@ class ZkdIndex {
   ZkdIndex(const zorder::GridSpec& grid, btree::BTree&& tree)
       : grid_(grid), tree_(std::move(tree)) {}
 
-  std::vector<uint64_t> SearchDecomposed(const geometry::SpatialObject& object,
-                                         QueryStats* stats,
-                                         const SearchOptions& options) const;
-  std::vector<uint64_t> SearchBigMin(const geometry::GridBox& box,
-                                     QueryStats* stats) const;
-
-  // One partition of the skip merge: runs the Section 3.3 merge over the
-  // elements of `object` whose z range starts in [owned_lo, owned_hi]
-  // (both inclusive, full-resolution z integers). With [0, ~0] this *is*
-  // the serial skip merge. Appends matches to `results` and accumulates
-  // counters into `stats` (required non-null).
-  void MergePartition(const geometry::SpatialObject& object,
-                      uint64_t owned_lo, uint64_t owned_hi,
-                      const SearchOptions& options,
-                      std::vector<uint64_t>* results, QueryStats* stats) const;
+  // One partition of the merge: the ids of the points in the elements of
+  // `object` whose z range starts in [owned_lo, owned_hi] (both inclusive,
+  // full-resolution z integers). With [0, ~0] this *is* the serial merge.
+  // Adds its counters to `*stats` (required non-null).
+  std::vector<uint64_t> MergePartition(const geometry::SpatialObject& object,
+                                       uint64_t owned_lo, uint64_t owned_hi,
+                                       const SearchOptions& options,
+                                       QueryStats* stats) const;
 
   // One partition of the BIGMIN merge: scans points with z in
-  // [from, upto] against the box [zmin, zmax] corners.
-  void BigMinPartition(uint64_t zmin, uint64_t zmax, uint64_t from,
-                       uint64_t upto, std::vector<uint64_t>* results,
-                       QueryStats* stats) const;
+  // [from, upto] against the box [zmin, zmax] corners. Adds its counters
+  // to `*stats` (required non-null).
+  std::vector<uint64_t> BigMinPartition(uint64_t zmin, uint64_t zmax,
+                                        uint64_t from, uint64_t upto,
+                                        QueryStats* stats) const;
 
-  // Shared fan-out: splits ownership of the element sequence at
-  // `split_points` (ascending) and merges partitions on `pool`.
+  // Shared fan-out of the Parallel* calls: splits ownership of the element
+  // sequence at `split_points` (ascending) and merges partitions on `pool`.
   std::vector<uint64_t> ParallelDecomposed(
       const geometry::SpatialObject& object,
       std::span<const uint64_t> split_points, util::ThreadPool& pool,

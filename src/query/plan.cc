@@ -97,23 +97,13 @@ class ZkdRangeScanNode final : public PlanNode {
  protected:
   void DoOpen() override {
     ScopedTimer timer(&stats_.ms);
-    // The streaming cursor runs the default skip merge only; capped or
-    // non-default merges materialize through RangeSearch. Results are
-    // identical either way (same merge, same z order).
-    const bool default_options =
-        options_.merge == index::SearchOptions::Merge::kSkipMerge &&
-        options_.max_element_depth < 0 && options_.verify_candidates;
-    if (pool_ == nullptr && default_options) {
-      cursor_.emplace(index_, box_);
+    if (pool_ == nullptr) {
+      cursor_.emplace(index_, box_, options_);
       return;
     }
     index::QueryStats qstats;
-    if (pool_ != nullptr) {
-      ids_ = index_.ParallelRangeSearch(box_, *pool_, partitions_, &qstats,
-                                        options_);
-    } else {
-      ids_ = index_.RangeSearch(box_, &qstats, options_);
-    }
+    ids_ = index_.ParallelRangeSearch(box_, *pool_, partitions_, &qstats,
+                                      options_);
     stats_.actual_pages = qstats.leaf_pages;
     stats_.actual_elements = qstats.elements_generated;
   }
@@ -123,13 +113,9 @@ class ZkdRangeScanNode final : public PlanNode {
     uint64_t id = 0;
     if (cursor_.has_value()) {
       if (!cursor_->Next(&id)) {
-        // Final counters are known once the merge has run to the end.
-        stats_.actual_pages = cursor_->stats().leaf_pages;
-        stats_.actual_elements = cursor_->stats().elements_generated;
+        RecordCursorStats();  // the merge has run to the end
         return false;
       }
-      stats_.actual_pages = cursor_->stats().leaf_pages;
-      stats_.actual_elements = cursor_->stats().elements_generated;
     } else {
       if (pos_ >= ids_.size()) return false;
       id = ids_[pos_++];
@@ -143,13 +129,18 @@ class ZkdRangeScanNode final : public PlanNode {
     // The cursor keeps its current leaf pinned; release it now rather than
     // at node destruction.
     if (cursor_.has_value()) {
-      stats_.actual_pages = cursor_->stats().leaf_pages;
-      stats_.actual_elements = cursor_->stats().elements_generated;
+      RecordCursorStats();
       cursor_.reset();
     }
   }
 
  private:
+  void RecordCursorStats() {
+    const index::QueryStats qstats = cursor_->stats();
+    stats_.actual_pages = qstats.leaf_pages;
+    stats_.actual_elements = qstats.elements_generated;
+  }
+
   const index::ZkdIndex& index_;
   geometry::GridBox box_;
   index::SearchOptions options_;

@@ -158,10 +158,10 @@ class PlanNode {
 // ------------------------------------------------------------- leaf scans
 
 /// Range scan over the zkd index. With `pool` null the scan is the serial
-/// skip merge (streamed through ZkdIndex::RangeCursor when `options` are
-/// the defaults, materialized otherwise); with a pool it is
-/// ParallelRangeSearch cut into `partitions` z intervals. Output schema:
-/// (id: int), in z order — bitwise identical between the two forms.
+/// merge under `options`, streamed through ZkdIndex::RangeCursor; with a
+/// pool it is ParallelRangeSearch cut into `partitions` z intervals.
+/// Output schema: (id: int), in z order — bitwise identical between the
+/// two forms.
 std::unique_ptr<PlanNode> MakeZkdRangeScan(const index::ZkdIndex& index,
                                            const geometry::GridBox& box,
                                            const index::SearchOptions& options,

@@ -384,7 +384,7 @@ Frame Server::ExecuteQuery(Conn* conn, const Frame& frame) {
         return error(Status::kBadPayload, "bad BOX box");
       }
       BoxResponse resp;
-      for (auto& row : engine_->RangeSearchRows(req.box)) {
+      for (auto& row : engine_->RangeSearchRows(req.box, nullptr, search)) {
         resp.rows.push_back({row.id, row.point});
       }
       session->stats().rows += resp.rows.size();

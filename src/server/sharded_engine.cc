@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <sstream>
 
 #include "index/cost_model.h"
@@ -11,23 +12,6 @@
 #include "zorder/shuffle.h"
 
 namespace probe::server {
-
-namespace {
-
-void AddStats(index::QueryStats* into, const index::QueryStats& from) {
-  into->leaf_pages += from.leaf_pages;
-  into->internal_pages += from.internal_pages;
-  into->points_scanned += from.points_scanned;
-  into->elements_generated += from.elements_generated;
-  into->classify_calls += from.classify_calls;
-  into->point_seeks += from.point_seeks;
-  into->results += from.results;
-  into->entries_on_touched_pages += from.entries_on_touched_pages;
-  into->contained_elements += from.contained_elements;
-  into->materialized_rows += from.materialized_rows;
-}
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(const zorder::GridSpec& grid,
                              const std::string& path_prefix,
@@ -183,80 +167,52 @@ uint64_t ShardedEngine::View::size() const {
   return total;
 }
 
+// Shard i's z interval wholly precedes shard i+1's and each shard reports
+// in ascending z order, so concatenating the shard parts in shard order
+// gives the single-engine output.
 std::vector<uint64_t> ShardedEngine::View::RangeSearch(
     const geometry::GridBox& box, index::QueryStats* stats,
     const index::SearchOptions& options) const {
   const auto [first, last] = engine_->ShardSpan(box);
-  const size_t n = static_cast<size_t>(last - first + 1);
-  std::vector<std::vector<uint64_t>> partials(n);
-  std::vector<index::QueryStats> partial_stats(n);
-  engine_->pool_->ParallelFor(n, [&](size_t i) {
-    partials[i] = snaps_[static_cast<size_t>(first) + i].index().RangeSearch(
-        box, stats != nullptr ? &partial_stats[i] : nullptr, options);
-  });
-  // Shard i's z interval wholly precedes shard i+1's and each shard
-  // reports in ascending z order, so concatenation in shard order is the
-  // single-engine output.
-  std::vector<uint64_t> results;
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  results.reserve(total);
-  for (auto& p : partials) {
-    results.insert(results.end(), p.begin(), p.end());
-  }
-  if (stats != nullptr) {
-    for (const auto& s : partial_stats) AddStats(stats, s);
-  }
-  return results;
+  return index::Concat(index::RunParts(
+      *engine_->pool_, static_cast<size_t>(last - first + 1), stats,
+      [&](size_t i, index::QueryStats* st) {
+        return snaps_[static_cast<size_t>(first) + i].index().RangeSearch(
+            box, st, options);
+      }));
 }
 
 std::vector<ShardedEngine::Row> ShardedEngine::View::RangeSearchRows(
-    const geometry::GridBox& box, index::QueryStats* stats) const {
+    const geometry::GridBox& box, index::QueryStats* stats,
+    const index::SearchOptions& options) const {
   // Ids first (scatter-gathered), then the points re-derived per id would
   // cost a lookup each; instead run per-shard cursors that stream (id,
   // point) pairs directly.
   const auto [first, last] = engine_->ShardSpan(box);
-  const size_t n = static_cast<size_t>(last - first + 1);
-  std::vector<std::vector<Row>> partials(n);
-  std::vector<index::QueryStats> partial_stats(n);
-  engine_->pool_->ParallelFor(n, [&](size_t i) {
-    const index::ZkdIndex& shard_index =
-        snaps_[static_cast<size_t>(first) + i].index();
-    index::ZkdIndex::RangeCursor cursor(shard_index, box);
-    Row row;
-    while (cursor.Next(&row.id, &row.point)) partials[i].push_back(row);
-    partial_stats[i] = cursor.stats();
-  });
-  std::vector<Row> rows;
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  rows.reserve(total);
-  for (auto& p : partials) {
-    rows.insert(rows.end(), p.begin(), p.end());
-  }
-  if (stats != nullptr) {
-    for (const auto& s : partial_stats) AddStats(stats, s);
-  }
-  return rows;
+  return index::Concat(index::RunParts(
+      *engine_->pool_, static_cast<size_t>(last - first + 1), stats,
+      [&](size_t i, index::QueryStats* st) {
+        index::ZkdIndex::RangeCursor cursor(
+            snaps_[static_cast<size_t>(first) + i].index(), box, options);
+        std::vector<Row> rows;
+        Row row;
+        while (cursor.Next(&row.id, &row.point)) rows.push_back(row);
+        *st = cursor.stats();
+        return rows;
+      }));
 }
 
 uint64_t ShardedEngine::View::CountBox(const geometry::GridBox& box,
                                        index::QueryStats* stats,
                                        const index::SearchOptions& options) const {
   const auto [first, last] = engine_->ShardSpan(box);
-  const size_t n = static_cast<size_t>(last - first + 1);
-  std::vector<uint64_t> partials(n, 0);
-  std::vector<index::QueryStats> partial_stats(n);
-  engine_->pool_->ParallelFor(n, [&](size_t i) {
-    partials[i] = snaps_[static_cast<size_t>(first) + i].index().CountBox(
-        box, stats != nullptr ? &partial_stats[i] : nullptr, options);
-  });
-  uint64_t count = 0;
-  for (uint64_t c : partials) count += c;
-  if (stats != nullptr) {
-    for (const auto& s : partial_stats) AddStats(stats, s);
-  }
-  return count;
+  const std::vector<uint64_t> counts = index::RunParts(
+      *engine_->pool_, static_cast<size_t>(last - first + 1), stats,
+      [&](size_t i, index::QueryStats* st) {
+        return snaps_[static_cast<size_t>(first) + i].index().CountBox(
+            box, st, options);
+      });
+  return std::accumulate(counts.begin(), counts.end(), uint64_t{0});
 }
 
 std::vector<index::Neighbor> ShardedEngine::View::KNearest(
@@ -286,8 +242,9 @@ std::vector<uint64_t> ShardedEngine::RangeSearch(
 }
 
 std::vector<ShardedEngine::Row> ShardedEngine::RangeSearchRows(
-    const geometry::GridBox& box, index::QueryStats* stats) const {
-  return CreateView().RangeSearchRows(box, stats);
+    const geometry::GridBox& box, index::QueryStats* stats,
+    const index::SearchOptions& options) const {
+  return CreateView().RangeSearchRows(box, stats, options);
 }
 
 uint64_t ShardedEngine::CountBox(const geometry::GridBox& box,

@@ -99,8 +99,9 @@ class ShardedEngine {
     std::vector<uint64_t> RangeSearch(
         const geometry::GridBox& box, index::QueryStats* stats = nullptr,
         const index::SearchOptions& options = {}) const;
-    std::vector<Row> RangeSearchRows(const geometry::GridBox& box,
-                                     index::QueryStats* stats = nullptr) const;
+    std::vector<Row> RangeSearchRows(
+        const geometry::GridBox& box, index::QueryStats* stats = nullptr,
+        const index::SearchOptions& options = {}) const;
     uint64_t CountBox(const geometry::GridBox& box,
                       index::QueryStats* stats = nullptr,
                       const index::SearchOptions& options = {}) const;
@@ -163,8 +164,11 @@ class ShardedEngine {
       const geometry::GridBox& box, index::QueryStats* stats = nullptr,
       const index::SearchOptions& options = {}) const;
 
-  std::vector<Row> RangeSearchRows(const geometry::GridBox& box,
-                                   index::QueryStats* stats = nullptr) const;
+  /// Scatter-gather BOX query: RangeSearch's ids with their points, in
+  /// the same order, under the same options.
+  std::vector<Row> RangeSearchRows(
+      const geometry::GridBox& box, index::QueryStats* stats = nullptr,
+      const index::SearchOptions& options = {}) const;
 
   /// Scatter-gather COUNT(*): the sum of per-shard aggregate pushdowns;
   /// equals RangeSearch(box).size().

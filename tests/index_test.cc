@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "btree/simd_filter.h"
 #include "geometry/primitives.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/datagen.h"
 
 namespace probe::index {
@@ -261,35 +264,77 @@ TEST(ZkdIndexTest, SkipMergeTouchesFewerPagesThanPlain) {
   EXPECT_LT(skip_stats.points_scanned, plain_stats.points_scanned / 4);
 }
 
+// One merge behind three APIs: the streaming cursor, the materializing
+// RangeSearch (serial and partitioned) and the CountBox aggregate must
+// agree on the answer, its order and the work counters, under every depth
+// cap, with verification on and off, on the SIMD and the scalar in-page
+// filter alike.
 TEST(ZkdIndexTest, RangeCursorStreamsSameResultsAsRangeSearch) {
   const GridSpec grid{2, 8};
-  workload::DataGenConfig data;
-  data.count = 1500;
-  data.seed = 111;
-  const auto points = GeneratePoints(grid, data);
-  IndexFixture fixture(grid, points, 20);
-  util::Rng rng(113);
-  for (int q = 0; q < 15; ++q) {
-    const uint32_t x = static_cast<uint32_t>(rng.NextBelow(200));
-    const uint32_t y = static_cast<uint32_t>(rng.NextBelow(200));
-    const GridBox box = GridBox::Make2D(x, x + 50, y, y + 50);
+  util::ThreadPool pool(2);
+  for (const auto distribution :
+       {workload::Distribution::kUniform, workload::Distribution::kClustered,
+        workload::Distribution::kDiagonal}) {
+    workload::DataGenConfig data;
+    data.distribution = distribution;
+    data.count = 1500;
+    data.seed = 111;
+    const auto points = GeneratePoints(grid, data);
+    IndexFixture fixture(grid, points, 20);
+    const ZkdIndex& index = fixture.index();
+    for (const bool force_scalar : {true, false}) {
+      btree::SetForceScalarFilter(force_scalar);
+      for (const int depth : {-1, 2, 4, 6}) {
+        for (const bool verify : {true, false}) {
+          SearchOptions options;
+          options.max_element_depth = depth;
+          options.verify_candidates = verify;
+          util::Rng rng(113);
+          for (int q = 0; q < 15; ++q) {
+            const uint32_t x = static_cast<uint32_t>(rng.NextBelow(200));
+            const uint32_t y = static_cast<uint32_t>(rng.NextBelow(200));
+            const GridBox box = GridBox::Make2D(x, x + 50, y, y + 50);
+            SCOPED_TRACE(workload::DistributionName(distribution) + " " +
+                         box.ToString() + " depth=" + std::to_string(depth) +
+                         " verify=" + std::to_string(verify) +
+                         " scalar=" + std::to_string(force_scalar));
 
-    QueryStats batch_stats;
-    const auto batch =
-        Sorted(fixture.index().RangeSearch(box, &batch_stats));
+            QueryStats batch_stats;
+            const auto batch = index.RangeSearch(box, &batch_stats, options);
 
-    ZkdIndex::RangeCursor cursor(fixture.index(), box);
-    std::vector<uint64_t> streamed;
-    uint64_t id = 0;
-    GridPoint point;
-    while (cursor.Next(&id, &point)) {
-      streamed.push_back(id);
-      EXPECT_TRUE(box.ContainsPoint(point));
+            ZkdIndex::RangeCursor cursor(index, box, options);
+            std::vector<uint64_t> streamed;
+            uint64_t id = 0;
+            GridPoint point;
+            while (cursor.Next(&id, &point)) {
+              streamed.push_back(id);
+              if (verify || depth < 0) {
+                EXPECT_TRUE(box.ContainsPoint(point));
+              }
+            }
+            EXPECT_EQ(streamed, batch);
+            EXPECT_EQ(
+                index.ParallelRangeSearch(box, pool, 3, nullptr, options),
+                batch);
+            EXPECT_EQ(index.CountBox(box, nullptr, options), batch.size());
+
+            const QueryStats streamed_stats = cursor.stats();
+            EXPECT_EQ(streamed_stats.leaf_pages, batch_stats.leaf_pages);
+            EXPECT_EQ(streamed_stats.internal_pages,
+                      batch_stats.internal_pages);
+            EXPECT_EQ(streamed_stats.point_seeks, batch_stats.point_seeks);
+            EXPECT_EQ(streamed_stats.elements_generated,
+                      batch_stats.elements_generated);
+            EXPECT_EQ(streamed_stats.points_scanned,
+                      batch_stats.points_scanned);
+            EXPECT_EQ(streamed_stats.results, batch.size());
+            EXPECT_EQ(batch_stats.results, batch.size());
+          }
+        }
+      }
     }
-    EXPECT_EQ(Sorted(streamed), batch);
-    EXPECT_EQ(cursor.stats().results, batch.size());
-    EXPECT_EQ(cursor.stats().leaf_pages, batch_stats.leaf_pages);
   }
+  btree::SetForceScalarFilter(false);
 }
 
 TEST(ZkdIndexTest, RangeCursorEarlyAbandonIsCheap) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
+#include "obs/runtime_metrics.h"
 #include "server/client.h"
 #include "temp_file.h"
 #include "util/thread_pool.h"
@@ -144,6 +145,40 @@ TEST_F(ServerTest, EveryQueryTypeMatchesInProcessResults) {
     EXPECT_EQ(neighbors[i].distance2, expect_knn[i].distance2);
   }
 
+  EXPECT_TRUE(client.Goodbye());
+}
+
+TEST_F(ServerTest, BoxHonoursSessionDepthCap) {
+  // A depth-capped session runs BOX through the same capped merge as
+  // RANGE: the same ids in the same order, and the same decomposition
+  // work, as the process-wide query metrics record it.
+  Client client;
+  ASSERT_TRUE(client.ConnectTcp(server_->port()));
+  HelloResponse hello;
+  ASSERT_TRUE(client.Hello(&hello, /*max_element_depth=*/6));
+  const obs::Counter& elements =
+      *obs::QueryMetrics::Default().elements_generated;
+
+  for (const auto& box :
+       {GridBox::Make2D(0, 255, 0, 255), GridBox::Make2D(30, 220, 10, 190),
+        GridBox::Make2D(40, 90, 120, 200)}) {
+    std::vector<uint64_t> ids;
+    const uint64_t before_range = elements.value();
+    ASSERT_TRUE(client.Range(box, &ids));
+    const uint64_t range_elements = elements.value() - before_range;
+
+    std::vector<BoxResponse::Row> rows;
+    const uint64_t before_box = elements.value();
+    ASSERT_TRUE(client.Box(box, &rows));
+    const uint64_t box_elements = elements.value() - before_box;
+
+    ASSERT_EQ(rows.size(), ids.size()) << box.ToString();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].id, ids[i]);
+      EXPECT_TRUE(box.ContainsPoint(rows[i].point));
+    }
+    EXPECT_EQ(box_elements, range_elements) << box.ToString();
+  }
   EXPECT_TRUE(client.Goodbye());
 }
 

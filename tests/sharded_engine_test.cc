@@ -178,6 +178,44 @@ INSTANTIATE_TEST_SUITE_P(Workloads, ShardedEngineIdentityTest,
                            return workload::DistributionName(info.param);
                          });
 
+TEST(ShardedEngineTest, BoxRowsHonourSearchOptions) {
+  // BOX streams rows through per-shard cursors, RANGE materializes ids:
+  // under a depth cap both must run the same capped merge, so the rows
+  // carry RANGE's ids in RANGE's order and the decomposition work matches.
+  testutil::TempFile tmp("sharded_box_options");
+  ShardFiles files(tmp.path(), 4);
+  util::ThreadPool pool(2);
+  ShardedEngineOptions options;
+  options.shards = 4;
+  options.truncate = true;
+  ShardedEngine engine(kGrid, files.prefix(), options, &pool);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(
+      engine.Apply(InsertOps(Points(Distribution::kClustered, 3000, 9))));
+
+  const ShardedEngine::View view = engine.CreateView();
+  for (const int depth : {-1, 4, 6}) {
+    index::SearchOptions capped;
+    capped.max_element_depth = depth;
+    for (const auto& box :
+         {GridBox::Make2D(0, 255, 0, 255), GridBox::Make2D(30, 220, 10, 190),
+          GridBox::Make2D(100, 140, 60, 70)}) {
+      index::QueryStats st, st2;
+      const auto rows = view.RangeSearchRows(box, &st, capped);
+      const auto ids = view.RangeSearch(box, &st2, capped);
+      ASSERT_EQ(rows.size(), ids.size())
+          << box.ToString() << " depth " << depth;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].id, ids[i]);
+        EXPECT_TRUE(box.ContainsPoint(rows[i].point));
+      }
+      EXPECT_EQ(st.elements_generated, st2.elements_generated)
+          << box.ToString() << " depth " << depth;
+      EXPECT_EQ(st.results, ids.size());
+    }
+  }
+}
+
 TEST(ShardedEngineTest, KNearestAtScaleMatchesSingleShard) {
   // Every shard answers every k-NN query, so most of a shard's searches
   // start from a center outside its own z interval. At this scale a search
