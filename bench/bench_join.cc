@@ -3,12 +3,13 @@
 // surveys with half of the second re-observing the first within a few
 // cells).
 //
-// Measures the serial join (zone sort + neighbor-zone merge + SIMD
-// distance filter), a thread sweep with bitwise-identity checks against
-// the serial pair stream, and a small all-pairs oracle slice. Numbers land
-// in BENCH_join.json (section "join"); scripts/check.sh gates on candidate
-// efficiency (tested pairs vs emitted pairs), identity, the oracle, and a
-// self-recorded throughput floor compared against the committed baseline.
+// Measures the serial join (in-memory zone sort + neighbor-zone merge +
+// SIMD distance filter, each phase timed), a thread sweep with
+// bitwise-identity checks against the serial pair stream, and a small
+// all-pairs oracle slice. Numbers land in BENCH_join.json (section
+// "join"); scripts/check.sh gates on candidate efficiency (tested pairs vs
+// emitted pairs), identity, the oracle, and a self-recorded throughput
+// floor compared against the committed baseline.
 //
 // Scale with: bench_join [r_points] [s_points] [radius]
 
@@ -116,14 +117,14 @@ int main(int argc, char** argv) {
   const double points_per_s =
       static_cast<double>(r_points + s_points) / (serial_ms / 1000.0);
   std::printf("serial      %8.0f ms  zones=%llu/%llu  candidates=%llu  "
-              "pairs=%llu  ratio=%.2f  sort_pages=%llu\n",
+              "pairs=%llu  ratio=%.2f  build=%.0f ms  probe=%.0f ms\n",
               serial_ms,
               static_cast<unsigned long long>(serial_stats.r_zones),
               static_cast<unsigned long long>(serial_stats.s_zones),
               static_cast<unsigned long long>(serial_stats.candidate_pairs),
               static_cast<unsigned long long>(serial_stats.pairs),
-              candidate_ratio,
-              static_cast<unsigned long long>(serial_stats.sort_pages));
+              candidate_ratio, serial_stats.build_us / 1000.0,
+              serial_stats.probe_us / 1000.0);
 
   // Thread sweep. Rows past the hardware's core count only measure
   // scheduling overhead; tag them so regression tooling skips their
@@ -148,8 +149,9 @@ int main(int argc, char** argv) {
     const bool identical = hash == serial_hash;
     all_identical = all_identical && identical;
     std::printf("threads=%-2d  %8.0f ms  speedup %5.2fx  partitions=%zu  "
-                "%s%s\n",
+                "build=%.0f ms  probe=%.0f ms  %s%s\n",
                 threads, ms, speedup, stats.partitions,
+                stats.build_us / 1000.0, stats.probe_us / 1000.0,
                 identical ? "pairs identical" : "PAIR MISMATCH",
                 oversubscribed ? "  (oversubscribed)" : "");
     if (rows_json.size() > 1) rows_json += ",";
@@ -157,6 +159,8 @@ int main(int argc, char** argv) {
                  ",\"ms\":" + std::to_string(ms) +
                  ",\"speedup\":" + std::to_string(speedup) +
                  ",\"partitions\":" + std::to_string(stats.partitions) +
+                 ",\"build_us\":" + std::to_string(stats.build_us) +
+                 ",\"probe_us\":" + std::to_string(stats.probe_us) +
                  ",\"oversubscribed\":" + (oversubscribed ? "true" : "false") +
                  ",\"identical\":" + (identical ? "true" : "false") + "}";
   }
@@ -203,8 +207,8 @@ int main(int argc, char** argv) {
       ",\"pairs\":" + std::to_string(serial_stats.pairs) +
       ",\"candidate_ratio\":" + std::to_string(candidate_ratio) +
       ",\"candidate_budget\":" + std::to_string(candidate_budget) +
-      ",\"sort_pages\":" + std::to_string(serial_stats.sort_pages) +
-      ",\"sort_runs\":" + std::to_string(serial_stats.sort_runs) +
+      ",\"build_us\":" + std::to_string(serial_stats.build_us) +
+      ",\"probe_us\":" + std::to_string(serial_stats.probe_us) +
       ",\"serial_ms\":" + std::to_string(serial_ms) +
       ",\"points_per_s\":" + std::to_string(points_per_s) +
       ",\"floor_points_per_s\":" + std::to_string(floor_points_per_s) +

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "btree/external_sort.h"
 #include "decompose/analysis.h"
 #include "decompose/decomposer.h"
 
@@ -136,24 +135,13 @@ CostModel::JoinEstimate CostModel::EstimateJoinPages(
 
 CostModel::DistanceJoinEstimate CostModel::EstimateDistanceJoinPages(
     const zorder::GridSpec& grid, uint64_t r_rows, uint64_t s_rows,
-    uint64_t radius, uint64_t zone_height, uint64_t sort_budget_entries) {
+    uint64_t radius, uint64_t zone_height) {
   assert(grid.Valid() && grid.dims == 2);
   DistanceJoinEstimate estimate;
   const uint64_t h = zone_height != 0 ? zone_height
                                       : std::max<uint64_t>(1, radius);
   const uint64_t side = grid.side();
   estimate.zones = std::max<uint64_t>(1, (side + h - 1) / h);
-
-  // The zone sort's I/O: a side within the sort budget never touches the
-  // scratch pager; a spilling side writes every record once in run pages
-  // and reads them back in the merge.
-  const auto kPerPage =
-      static_cast<uint64_t>(btree::ExternalSorter::kEntriesPerPage);
-  for (const uint64_t rows : {r_rows, s_rows}) {
-    if (rows > sort_budget_entries) {
-      estimate.pages += 2 * ((rows + kPerPage - 1) / kPerPage);
-    }
-  }
 
   // Uniform-density candidate count: each R probe tests the S points in
   // an x-window of 2r+1 cells across a zone band of about 2r+h rows.

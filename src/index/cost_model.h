@@ -79,9 +79,6 @@ class CostModel {
 
   /// An estimate for a zones-style distance join.
   struct DistanceJoinEstimate {
-    /// Predicted scratch pages of the two zone sorts (written + read; 0
-    /// when both sides fit the sort budget in memory).
-    uint64_t pages = 0;
     /// Zones the grid is cut into at the chosen height.
     uint64_t zones = 0;
     /// Predicted candidate pairs (distance tests) under a
@@ -91,13 +88,12 @@ class CostModel {
   };
 
   /// Prices DistanceJoin(R, S, radius) on `grid` analytically — no index
-  /// needed, the join runs on raw point sets. `zone_height` 0 means the
-  /// join's max(1, radius) default; `sort_budget_entries` is the join's
-  /// in-memory sort buffer (decides whether the sorts spill).
+  /// needed, the join runs on raw point sets and sorts them in memory, so
+  /// it reads no pages. `zone_height` 0 means the join's max(1, radius)
+  /// default.
   static DistanceJoinEstimate EstimateDistanceJoinPages(
       const zorder::GridSpec& grid, uint64_t r_rows, uint64_t s_rows,
-      uint64_t radius, uint64_t zone_height = 0,
-      uint64_t sort_budget_entries = 1u << 20);
+      uint64_t radius, uint64_t zone_height = 0);
 
   /// Picks a decomposition depth cap for `box` from the Section 5.1
   /// element-count analysis: the finest depth whose worst-case element

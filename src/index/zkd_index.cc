@@ -377,7 +377,7 @@ uint64_t ZkdIndex::CountRange(uint64_t zlo, uint64_t zhi,
     FillCursorStats(cursor, &part);
     part.point_seeks = 1;
     part.results = count;
-    *stats += part;
+    *stats = part;
   }
   return count;
 }
@@ -403,7 +403,7 @@ uint64_t ZkdIndex::CountBox(const geometry::GridBox& box, QueryStats* stats,
     merge.Skip(run);
   }
   const QueryStats part = merge.stats();
-  if (stats != nullptr) *stats += part;
+  if (stats != nullptr) *stats = part;
   FlushQueryMetrics(part);
   return count;
 }
@@ -440,7 +440,7 @@ std::vector<uint64_t> ZkdIndex::MergePartition(
     }
     merge.Skip(run);
   }
-  *stats += merge.stats();
+  *stats = merge.stats();
   return results;
 }
 
@@ -479,7 +479,7 @@ std::vector<uint64_t> ZkdIndex::BigMinPartition(uint64_t zmin, uint64_t zmax,
 
   FillCursorStats(cursor, &part);
   part.results = results.size();
-  *stats += part;
+  *stats = part;
   return results;
 }
 

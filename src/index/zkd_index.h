@@ -52,7 +52,9 @@ struct PointRecord {
   uint64_t id = 0;
 };
 
-/// Work and I/O counters for one query.
+/// Work and I/O counters for one query. Every query that takes a
+/// `QueryStats*` overwrites it with that call's own counters, so a caller
+/// may reuse one QueryStats across queries; summing is the caller's job.
 struct QueryStats {
   /// Leaf ("data") pages entered — the paper's page-access metric.
   uint64_t leaf_pages = 0;
@@ -122,8 +124,8 @@ struct SearchOptions {
 };
 
 /// The gather step of every partitioned query: runs `part(k, &stats_k)`
-/// for each k in [0, parts) on `pool`, adds each part's stats to `*stats`
-/// (when non-null) in k order, and returns the part results in k order.
+/// for each k in [0, parts) on `pool`, overwrites `*stats` (when non-null)
+/// with the parts' summed stats, and returns the part results in k order.
 template <typename Part>
 auto RunParts(util::ThreadPool& pool, size_t parts, QueryStats* stats,
               Part&& part) {
@@ -132,6 +134,7 @@ auto RunParts(util::ThreadPool& pool, size_t parts, QueryStats* stats,
   pool.ParallelFor(parts,
                    [&](size_t k) { results[k] = part(k, &part_stats[k]); });
   if (stats != nullptr) {
+    *stats = {};
     for (const QueryStats& s : part_stats) *stats += s;
   }
   return results;
@@ -323,14 +326,14 @@ class ZkdIndex {
   // One partition of the merge: the ids of the points in the elements of
   // `object` whose z range starts in [owned_lo, owned_hi] (both inclusive,
   // full-resolution z integers). With [0, ~0] this *is* the serial merge.
-  // Adds its counters to `*stats` (required non-null).
+  // Writes its counters to `*stats` (required non-null).
   std::vector<uint64_t> MergePartition(const geometry::SpatialObject& object,
                                        uint64_t owned_lo, uint64_t owned_hi,
                                        const SearchOptions& options,
                                        QueryStats* stats) const;
 
   // One partition of the BIGMIN merge: scans points with z in
-  // [from, upto] against the box [zmin, zmax] corners. Adds its counters
+  // [from, upto] against the box [zmin, zmax] corners. Writes its counters
   // to `*stats` (required non-null).
   std::vector<uint64_t> BigMinPartition(uint64_t zmin, uint64_t zmax,
                                         uint64_t from, uint64_t upto,

@@ -1,82 +1,168 @@
 #include "relational/distance_join.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <memory>
 
-#include "btree/external_sort.h"
-#include "btree/node.h"
 #include "btree/simd_filter.h"
-#include "btree/zkey.h"
 #include "probe/check.h"
-#include "storage/pager.h"
 
 namespace probe::relational {
 
 namespace {
 
 /// One side of the join after zoning and sorting: a CSR layout over the
-/// non-empty zones, with parallel coordinate/id arrays in (zone, x,
-/// tie-break) order. uint64_t coordinate arrays feed the SIMD kernel
-/// directly.
+/// non-empty zones, with parallel coordinate/id arrays in (zone, x, id,
+/// y) order. uint64_t coordinate arrays feed the SIMD kernel directly.
 struct ZonedSide {
   std::vector<uint64_t> zone_ids;  // sorted, non-empty zones only
   std::vector<size_t> offsets;     // zone_ids.size() + 1 row offsets
-  std::vector<uint64_t> xs;        // sorted ascending within each zone
-  std::vector<uint64_t> ys;
-  std::vector<uint64_t> ids;
-
-  size_t rows() const { return xs.size(); }
+  // Row arrays. The bucket sorts write every element, so they are
+  // allocated uninitialized.
+  std::unique_ptr<uint64_t[]> xs;  // sorted ascending within each zone
+  std::unique_ptr<uint64_t[]> ys;
+  std::unique_ptr<uint64_t[]> ids;
+  size_t rows = 0;
 };
 
-/// Streams `points` through the external sorter in (zone, x) order and
-/// materializes the CSR side. The sort key packs (zone << d) | x — integer
-/// order on the packed key is exactly (zone, x) order because both halves
-/// are below 2^d — and the payload packs (id << d) | y so ties in (zone, x)
-/// still sort deterministically (by id, then y). `sort` accumulates the
-/// spill statistics across both sides.
+/// One row in zone-sort order: `key` packs (zone << d) | x and `payload`
+/// packs (id << d) | y. Every half is below 2^d, so integer order on
+/// (key, payload) is exactly (zone, x, id, y) order.
+struct ZoneRow {
+  uint64_t key;
+  uint64_t payload;
+
+  friend bool operator<(const ZoneRow& a, const ZoneRow& b) {
+    return a.key != b.key ? a.key < b.key : a.payload < b.payload;
+  }
+};
+
+/// Runs fn(i) for i in [0, count): on `pool` when it is set, else in order
+/// on the caller.
+void RunOn(util::ThreadPool* pool, size_t count,
+           const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(count, fn);
+  } else {
+    for (size_t i = 0; i < count; ++i) fn(i);
+  }
+}
+
+/// Sorts `points` into (zone, x, id, y) order in memory and materializes
+/// the CSR side. Each pool lane counts the rows per bucket of one slice of
+/// the input; a prefix sum over (bucket, lane) gives every lane its own
+/// slots, into which it scatters its slice; then each bucket is sorted,
+/// in parallel across buckets, which also fills the coordinate arrays.
+/// A bucket is one zone, or, when the grid has more zones than fit, 2^shift
+/// consecutive zones, so the lanes' histograms together hold at most
+/// max(rows, lanes) counters; the bucket's sort orders by the full key
+/// either way. Without a pool every step runs on the caller as one lane.
 ZonedSide BuildSide(std::span<const index::PointRecord> points, int d,
-                    uint64_t h, size_t budget,
-                    btree::ExternalSortStats* sort) {
+                    uint64_t h, util::ThreadPool* pool) {
   const uint64_t mask = (1ULL << d) - 1;  // d <= 32 < 64
-  storage::MemPager scratch;
-  btree::ExternalSorter sorter(&scratch, budget);
-  for (const auto& p : points) {
-    const uint64_t x = p.point[0];
-    const uint64_t y = p.point[1];
-    PROBE_ASSERT_MSG(x <= mask && y <= mask,
-                     "distance join point off the grid");
-    if (p.id >> (64 - d)) {
-      check::AuditFailure(__FILE__, __LINE__, "id < 2^(64 - bits_per_dim)",
-                          "distance join id too wide to zone-sort");
+  const size_t n = points.size();
+  const size_t lanes = pool != nullptr ? static_cast<size_t>(pool->lanes()) : 1;
+  const uint64_t max_zone = mask / h;
+  int shift = 0;
+  while ((max_zone >> shift) >= std::max<uint64_t>(n / lanes, 1)) ++shift;
+  const size_t buckets = static_cast<size_t>(max_zone >> shift) + 1;
+  // Clamped so an off-grid y (unchecked when audits are compiled out)
+  // cannot index past the histogram.
+  const auto bucket_of = [&](uint64_t zone) {
+    return std::min(static_cast<size_t>(zone >> shift), buckets - 1);
+  };
+  const auto slice = [&](size_t lane) {
+    const size_t from = lane * n / lanes;
+    return points.subspan(from, (lane + 1) * n / lanes - from);
+  };
+  // next[lane * buckets + b]: the lane's row count in bucket b, then its
+  // first slot there.
+  std::vector<size_t> next(lanes * buckets, 0);
+  RunOn(pool, lanes, [&](size_t lane) {
+    size_t* count = next.data() + lane * buckets;
+    for (const auto& p : slice(lane)) {
+      [[maybe_unused]] const uint64_t x = p.point[0];
+      const uint64_t y = p.point[1];
+      PROBE_ASSERT_MSG(x <= mask && y <= mask,
+                       "distance join point off the grid");
+      if (p.id >> (64 - d)) {
+        check::AuditFailure(__FILE__, __LINE__, "id < 2^(64 - bits_per_dim)",
+                            "distance join id too wide to zone-sort");
+      }
+      ++count[bucket_of(y / h)];
     }
-    const uint64_t zone = y / h;
-    sorter.Add(btree::LeafEntry{
-        btree::ZKey{(zone << d) | x, 64},
-        (p.id << d) | y,
-    });
+  });
+  // start[b] is bucket b's first row.
+  std::vector<size_t> start(buckets + 1, n);
+  size_t filled = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    start[b] = filled;
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      const size_t count = next[lane * buckets + b];
+      next[lane * buckets + b] = filled;
+      filled += count;
+    }
   }
 
-  ZonedSide side;
-  side.xs.reserve(points.size());
-  side.ys.reserve(points.size());
-  side.ids.reserve(points.size());
-  sorter.Drain([&](const btree::LeafEntry& e) {
-    const uint64_t zone = e.key.raw >> d;
-    if (side.zone_ids.empty() || side.zone_ids.back() != zone) {
-      side.zone_ids.push_back(zone);
-      side.offsets.push_back(side.xs.size());
+  std::vector<ZoneRow> rows(n);
+  RunOn(pool, lanes, [&](size_t lane) {
+    size_t* slot = next.data() + lane * buckets;
+    for (const auto& p : slice(lane)) {
+      const uint64_t y = p.point[1];
+      const uint64_t zone = y / h;
+      rows[slot[bucket_of(zone)]++] =
+          ZoneRow{(zone << d) | p.point[0], (p.id << d) | y};
     }
-    side.xs.push_back(e.key.raw & mask);
-    side.ys.push_back(e.payload & mask);
-    side.ids.push_back(e.payload >> d);
   });
-  side.offsets.push_back(side.xs.size());
 
-  sort->runs += sorter.stats().runs;
-  sort->pages_written += sorter.stats().pages_written;
-  sort->pages_read += sorter.stats().pages_read;
-  sort->records += sorter.stats().records;
-  sort->spilled_records += sorter.stats().spilled_records;
+  ZonedSide side;
+  side.xs = std::make_unique_for_overwrite<uint64_t[]>(n);
+  side.ys = std::make_unique_for_overwrite<uint64_t[]>(n);
+  side.ids = std::make_unique_for_overwrite<uint64_t[]>(n);
+  side.rows = n;
+  // Tasks own contiguous bucket ranges of about equal rows; a bucket's
+  // rows never leave its range, so the tasks write disjoint slices, and
+  // since a zone never spans buckets, each task lists its own zones.
+  const size_t tasks = std::min(4 * lanes, buckets);
+  std::vector<size_t> cuts(tasks + 1, buckets);
+  cuts[0] = 0;
+  for (size_t t = 1; t < tasks; ++t) {
+    cuts[t] = static_cast<size_t>(
+        std::lower_bound(start.begin(), start.end(), t * n / tasks) -
+        start.begin());
+  }
+  struct TaskZones {
+    std::vector<uint64_t> ids;
+    std::vector<size_t> offsets;
+  };
+  std::vector<TaskZones> task_zones(tasks);
+  RunOn(pool, tasks, [&](size_t t) {
+    for (size_t b = cuts[t]; b < cuts[t + 1]; ++b) {
+      std::sort(rows.begin() + static_cast<ptrdiff_t>(start[b]),
+                rows.begin() + static_cast<ptrdiff_t>(start[b + 1]));
+    }
+    TaskZones zones;
+    for (size_t i = start[cuts[t]]; i < start[cuts[t + 1]]; ++i) {
+      side.xs[i] = rows[i].key & mask;
+      side.ys[i] = rows[i].payload & mask;
+      side.ids[i] = rows[i].payload >> d;
+      const uint64_t zone = rows[i].key >> d;
+      if (zones.ids.empty() || zones.ids.back() != zone) {
+        zones.ids.push_back(zone);
+        zones.offsets.push_back(i);
+      }
+    }
+    task_zones[t] = std::move(zones);
+  });
+
+  for (const TaskZones& zones : task_zones) {
+    side.zone_ids.insert(side.zone_ids.end(), zones.ids.begin(),
+                         zones.ids.end());
+    side.offsets.insert(side.offsets.end(), zones.offsets.begin(),
+                        zones.offsets.end());
+  }
+  side.offsets.push_back(n);
   return side;
 }
 
@@ -122,18 +208,16 @@ void ProbeRows(const ZonedSide& r, size_t begin, size_t end,
          ++zi) {
       const size_t off = s.offsets[static_cast<size_t>(zi)];
       const size_t zone_end = s.offsets[static_cast<size_t>(zi) + 1];
-      const auto first = s.xs.begin() + static_cast<ptrdiff_t>(off);
-      const auto last = s.xs.begin() + static_cast<ptrdiff_t>(zone_end);
+      const uint64_t* first = s.xs.get() + off;
+      const uint64_t* last = s.xs.get() + zone_end;
       // The x-window [qx - radius, qx + radius] inside this zone.
       const size_t lo = qx > radius
                             ? static_cast<size_t>(
                                   std::lower_bound(first, last, qx - radius) -
-                                  s.xs.begin())
+                                  s.xs.get())
                             : off;
       const size_t hi = static_cast<size_t>(
-          std::upper_bound(first + static_cast<ptrdiff_t>(lo - off), last,
-                           xmax) -
-          s.xs.begin());
+          std::upper_bound(first + (lo - off), last, xmax) - s.xs.get());
       *candidates += hi - lo;
 
       if (simd_ok) {
@@ -141,7 +225,7 @@ void ProbeRows(const ZonedSide& r, size_t begin, size_t end,
           const int len = static_cast<int>(
               std::min(hi - pos, static_cast<size_t>(kChunk)));
           const int m = btree::CollectWithinDist2(
-              s.xs.data() + pos, s.ys.data() + pos, len, qx, qy, r2_clamped,
+              s.xs.get() + pos, s.ys.get() + pos, len, qx, qy, r2_clamped,
               hits);
           for (int j = 0; j < m; ++j) {
             ++*pairs;
@@ -183,17 +267,17 @@ void DistanceJoin(std::span<const index::PointRecord> r,
   const uint64_t h =
       options.zone_height != 0 ? options.zone_height
                                : std::max<uint64_t>(1, radius);
-  const size_t budget = std::max<size_t>(1, options.sort_budget_entries);
 
-  btree::ExternalSortStats sort;
-  const ZonedSide rs = BuildSide(r, d, h, budget, &sort);
-  const ZonedSide ss = BuildSide(s, d, h, budget, &sort);
+  const auto build_start = std::chrono::steady_clock::now();
+  const ZonedSide rs = BuildSide(r, d, h, options.pool);
+  const ZonedSide ss = BuildSide(s, d, h, options.pool);
+  const auto probe_start = std::chrono::steady_clock::now();
 
   uint64_t candidates = 0;
   uint64_t pairs = 0;
   size_t partitions = 1;
 
-  const size_t rows = rs.rows();
+  const size_t rows = rs.rows;
   int want = options.partitions;
   if (options.pool != nullptr && want <= 0) want = options.pool->lanes();
   if (options.pool != nullptr && want > 1 && rows > 1) {
@@ -212,11 +296,14 @@ void DistanceJoin(std::span<const index::PointRecord> r,
     options.pool->ParallelFor(nchunks, [&](size_t c) {
       const size_t begin = c * chunk;
       const size_t end = std::min(rows, begin + chunk);
-      auto& mine = results[c];
+      // Filled on the lane's own stack and moved out once: adjacent
+      // ChunkOut slots share cache lines.
+      ChunkOut mine;
       ProbeRows(
           rs, begin, end, ss, d, radius, h,
           [&mine](const IdPair& p) { mine.out.push_back(p); },
           &mine.candidates, &mine.pairs);
+      results[c] = std::move(mine);
     });
     for (const auto& res : results) {
       candidates += res.candidates;
@@ -229,16 +316,19 @@ void DistanceJoin(std::span<const index::PointRecord> r,
   }
 
   if (stats != nullptr) {
-    stats->r_rows = rs.rows();
-    stats->s_rows = ss.rows();
+    stats->r_rows = rs.rows;
+    stats->s_rows = ss.rows;
     stats->zone_height = h;
     stats->r_zones = rs.zone_ids.size();
     stats->s_zones = ss.zone_ids.size();
     stats->candidate_pairs = candidates;
     stats->pairs = pairs;
-    stats->sort_pages = sort.pages_written + sort.pages_read;
-    stats->sort_runs = sort.runs;
     stats->partitions = partitions;
+    const auto us = [](auto from, auto to) {
+      return std::chrono::duration<double, std::micro>(to - from).count();
+    };
+    stats->build_us = us(build_start, probe_start);
+    stats->probe_us = us(probe_start, std::chrono::steady_clock::now());
   }
 }
 

@@ -19,9 +19,12 @@
 /// repo's machinery:
 ///
 ///  1. Bucket both inputs into horizontal *zones* of height ~r
-///     (zone = y / h) and stream each side through the external sorter in
-///     (zone, x) order — "existing sort utilities" doing the heavy
-///     lifting, exactly as Section 4 promises for z values.
+///     (zone = y / h) and sort each side in memory in (zone, x) order: a
+///     histogram of rows per zone, a prefix sum and a scatter, then a sort
+///     of each zone's rows, in parallel across zones on the join's pool.
+///     Section 4's point that z values are integers "so existing sort
+///     utilities can be used" holds for zone ids too; the result is a
+///     CSR array per side.
 ///  2. Merge: for each R point, only the S zones within r vertically can
 ///     hold partners; within each such zone the partners lie in the
 ///     x-window [x - r, x + r], found by binary search over the zone's
@@ -38,7 +41,7 @@
 /// Distances are exact: a pair is emitted iff dx^2 + dy^2 <= r^2 in
 /// integer cell coordinates, computed without overflow at any grid
 /// resolution (128-bit accumulation where 64 bits could wrap). Emission
-/// order is deterministic — R in its sorted (zone, x, tie-break) order,
+/// order is deterministic — R in its sorted (zone, x, id, y) order,
 /// each probe's partners in S's sorted order — and the parallel path
 /// reproduces it bitwise.
 
@@ -57,11 +60,14 @@ struct DistanceJoinOptions {
   /// Zone height in cells; 0 picks max(1, radius) — the Gray et al.
   /// choice, which bounds the probe to at most three neighbor zones.
   uint64_t zone_height = 0;
-  /// In-memory buffer of each side's external sort; inputs beyond it
-  /// spill sorted runs to a scratch pager.
-  size_t sort_budget_entries = 1u << 20;
-  /// When set, the zone merge is partitioned over the pool; the output
-  /// is bitwise-identical to the serial merge.
+  /// Not a knob: the join sorts in memory and never reads it. It remains
+  /// only because perfbench's stand-alone sort timing sizes an
+  /// ExternalSorter with it, and goes when that timing does (ROADMAP
+  /// item 6).
+  static constexpr size_t sort_budget_entries = 1u << 20;
+  /// When set, the zone sorts (histogram, scatter and per-zone sorts) and
+  /// the zone merge are spread over the pool; the output is
+  /// bitwise-identical to the serial join.
   util::ThreadPool* pool = nullptr;
   /// Merge partitions; <= 0 targets one per pool lane.
   int partitions = 0;
@@ -81,13 +87,17 @@ struct DistanceJoinStats {
   uint64_t candidate_pairs = 0;
   /// Pairs emitted (distance <= radius).
   uint64_t pairs = 0;
-  /// External-sort I/O over both sides (pages written + read; 0 when both
-  /// sides fit the sort budget in memory).
+  /// Always 0: the zone sort is in memory and touches no page. It remains
+  /// only because perfbench reads it (its `join.sort_pages` and
+  /// crossmatch's `bytes_per_point`), and goes when perfbench stops
+  /// naming it (ROADMAP item 6).
   uint64_t sort_pages = 0;
-  /// Sorted runs spilled over both sides.
-  uint64_t sort_runs = 0;
   /// Merge partitions actually executed (1 for the serial merge).
   size_t partitions = 1;
+  /// Wall time of the two zone sorts and CSR builds, in microseconds.
+  double build_us = 0;
+  /// Wall time of the zone merge, emission into the sink included.
+  double probe_us = 0;
 };
 
 /// Streams every pair (p in r, q in s) with |p - q|^2 <= radius^2

@@ -94,7 +94,10 @@ bool Client::Send(const Frame& frame) {
     return false;
   }
   std::vector<uint8_t> bytes;
-  EncodeFrame(frame, &bytes);
+  if (!EncodeFrame(frame, &bytes)) {
+    Fail(Status::kOversized, "request over the frame cap");
+    return false;
+  }
   return WriteAll(bytes.data(), bytes.size());
 }
 

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cstring>
+#include <string>
 
 #include "util/crc32.h"
 
@@ -63,7 +64,8 @@ const char* StatusName(Status status) {
   return "?";
 }
 
-void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
+bool EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
+  if (frame.payload.size() > kMaxPayloadBytes) return false;
   const size_t header_at = out->size();
   out->push_back(kMagic0);
   out->push_back(kMagic1);
@@ -76,6 +78,17 @@ void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
   crc = util::Crc32(frame.payload.data(), frame.payload.size(), crc);
   PutU32(out, crc);
   out->insert(out->end(), frame.payload.begin(), frame.payload.end());
+  return true;
+}
+
+bool EncodeResponse(const Frame& response, std::vector<uint8_t>* out) {
+  if (EncodeFrame(response, out)) return true;
+  ErrorResponse error;
+  error.status = Status::kOversized;
+  error.message = "answer of " + std::to_string(response.payload.size()) +
+                  " bytes is over the frame cap";
+  EncodeFrame(error.ToFrame(response.request_id), out);
+  return false;
 }
 
 DecodeResult DecodeFrame(std::span<const uint8_t> data, Frame* frame,

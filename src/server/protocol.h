@@ -106,8 +106,16 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-/// Appends the encoded frame (header + payload) to `out`.
-void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out);
+/// Appends the encoded frame (header + payload) to `out`. A payload over
+/// kMaxPayloadBytes, which DecodeFrame refuses, is not encoded: returns
+/// false and leaves `out` as it was.
+bool EncodeFrame(const Frame& frame, std::vector<uint8_t>* out);
+
+/// Appends a query's answer: the frame itself, or, when its payload is
+/// over kMaxPayloadBytes, a kOversized error frame with the same
+/// request_id, so the client gets an answer it can decode. Returns false
+/// when it sent the error.
+bool EncodeResponse(const Frame& response, std::vector<uint8_t>* out);
 
 /// What DecodeFrame found at the front of a receive buffer.
 enum class DecodeResult {

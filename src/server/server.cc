@@ -304,7 +304,10 @@ bool Server::HandleFrame(Conn* conn, const Frame& frame,
     case FrameType::kExplain: {
       const Frame response = ExecuteQuery(conn, frame);
       if (conn->session_id != 0) sessions_.FinishRequest(conn->session_id);
-      EncodeFrame(response, out);
+      if (!EncodeResponse(response, out)) {
+        errors_total_.fetch_add(1);
+        m_errors_->Increment();
+      }
       break;
     }
     default: {

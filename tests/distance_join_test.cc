@@ -1,12 +1,16 @@
 // The zones-style distance join must be exact: identical pair sets to an
 // O(n*m) all-pairs oracle on every distribution, at degenerate radii
 // (r = 0, r spanning the whole grid), at full 32-bit grid resolution, and
-// for every zone height — and the parallel merge must reproduce the
-// serial emission order bitwise, not just as a set.
+// for every zone height — and the emission order, serial or pooled, must
+// be exactly the (zone, x, id, y) order of a plain sort, not just the same
+// set.
 
 #include "relational/distance_join.h"
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,24 +30,25 @@ using workload::DataGenConfig;
 using workload::Distribution;
 using zorder::GridSpec;
 
-/// All-pairs reference in 128-bit arithmetic: every (r, s) with
-/// dx^2 + dy^2 <= radius^2.
+/// dx^2 + dy^2 <= radius^2, in 128-bit arithmetic.
+bool Within(const PointRecord& p, const PointRecord& q, uint64_t radius) {
+  const uint64_t dx =
+      p.point[0] > q.point[0] ? p.point[0] - q.point[0] : q.point[0] - p.point[0];
+  const uint64_t dy =
+      p.point[1] > q.point[1] ? p.point[1] - q.point[1] : q.point[1] - p.point[1];
+  return static_cast<unsigned __int128>(dx) * dx +
+             static_cast<unsigned __int128>(dy) * dy <=
+         static_cast<unsigned __int128>(radius) * radius;
+}
+
+/// All-pairs reference: every (r, s) within `radius`.
 std::vector<IdPair> OracleJoin(const std::vector<PointRecord>& r,
                                const std::vector<PointRecord>& s,
                                uint64_t radius) {
-  const unsigned __int128 r2 = static_cast<unsigned __int128>(radius) * radius;
   std::vector<IdPair> out;
   for (const auto& p : r) {
     for (const auto& q : s) {
-      const uint64_t dx =
-          p.point[0] > q.point[0] ? p.point[0] - q.point[0] : q.point[0] - p.point[0];
-      const uint64_t dy =
-          p.point[1] > q.point[1] ? p.point[1] - q.point[1] : q.point[1] - p.point[1];
-      if (static_cast<unsigned __int128>(dx) * dx +
-              static_cast<unsigned __int128>(dy) * dy <=
-          r2) {
-        out.push_back(IdPair{p.id, q.id});
-      }
+      if (Within(p, q, radius)) out.push_back(IdPair{p.id, q.id});
     }
   }
   return out;
@@ -206,28 +211,120 @@ TEST(DistanceJoinTest, SerialAndParallelAreBitwiseIdentical) {
   }
 }
 
-TEST(DistanceJoinTest, SpilledSortMatchesInMemory) {
-  // Force the external sorter to spill runs (tiny budget) — the join must
-  // not care where the sorted stream came from.
-  const GridSpec grid{2, 9};
-  DataGenConfig config;
-  config.count = 5000;
-  config.seed = 101;
-  const auto r = GeneratePoints(grid, config);
-  config.seed = 102;
-  const auto s = GeneratePoints(grid, config);
+/// Points scattered around 40 cluster centers (drawn from `d` alone, so
+/// both sides of a join share them) with jitter of up to 12 cells per
+/// axis, on a d-bit grid; every fifth point repeats an earlier point's
+/// (x, y) under a fresh id. Ids are distinct per side and below 2^32, so
+/// they fit next to y at any d <= 32.
+std::vector<PointRecord> ClusteredWithDuplicates(int d, size_t count,
+                                                 uint64_t seed) {
+  constexpr uint64_t jitter = 12;
+  const uint64_t side_max = (1ULL << d) - 1;
+  util::Rng center_rng(static_cast<uint64_t>(d));
+  std::vector<std::pair<uint64_t, uint64_t>> c(40);
+  for (auto& [x, y] : c) {
+    x = center_rng.NextBelow(side_max + 1);
+    y = center_rng.NextBelow(side_max + 1);
+  }
+  util::Rng rng(seed);
+  const auto jittered = [&](uint64_t v) {
+    const int64_t off = rng.NextInRange(-static_cast<int64_t>(jitter),
+                                        static_cast<int64_t>(jitter));
+    const int64_t moved = static_cast<int64_t>(v) + off;
+    return static_cast<uint32_t>(std::clamp<int64_t>(
+        moved, 0, static_cast<int64_t>(side_max)));
+  };
+  std::vector<PointRecord> out;
+  for (size_t i = 0; i < count; ++i) {
+    // A bijection on 32-bit values: distinct ids, not ascending with i, so
+    // input order says nothing about id order.
+    const uint64_t id = (2654435761u * (i + seed)) & 0xFFFFFFFFu;
+    if (i % 5 == 4) {
+      const PointRecord& twin = out[rng.NextBelow(out.size())];
+      out.push_back({twin.point, id});
+      continue;
+    }
+    const auto& [x, y] = c[rng.NextBelow(c.size())];
+    out.push_back({geometry::GridPoint({jittered(x), jittered(y)}), id});
+  }
+  return out;
+}
 
-  const auto in_memory = DistanceJoinPairs(r, s, grid, 4);
+/// Each point's rank in a plain sort by (zone, x, id, y) at height h.
+std::vector<size_t> ZoneRanks(const std::vector<PointRecord>& points,
+                              uint64_t h) {
+  const auto key = [&](size_t i) {
+    const PointRecord& p = points[i];
+    return std::tuple(p.point[1] / h, p.point[0], p.id, p.point[1]);
+  };
+  std::vector<size_t> order(points.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return key(a) < key(b); });
+  std::vector<size_t> rank(points.size());
+  for (size_t k = 0; k < order.size(); ++k) rank[order[k]] = k;
+  return rank;
+}
 
-  DistanceJoinOptions options;
-  options.sort_budget_entries = 64;
-  DistanceJoinStats stats;
-  const auto spilled = DistanceJoinPairs(r, s, grid, 4, &stats, options);
-  EXPECT_GT(stats.sort_runs, 0u);
-  EXPECT_GT(stats.sort_pages, 0u);
-  ASSERT_EQ(spilled.size(), in_memory.size());
-  for (size_t i = 0; i < spilled.size(); ++i) {
-    ASSERT_TRUE(spilled[i] == in_memory[i]) << i;
+TEST(DistanceJoinTest, ZoneSortMatchesReferenceOrder) {
+  // The emission order is part of the contract: R rows in (zone, x, id, y)
+  // order, each row's partners in S's (zone, x, id, y) order. The
+  // reference orders the oracle's pairs that way with a plain std::sort,
+  // and the join must match it element by element — for every grid width
+  // (d = 20 and d = 32 at h = 1 have more zones than rows), zone height,
+  // and pool size, over inputs that repeat (x, y) under different ids.
+  constexpr uint64_t kRadius = 6;
+  constexpr uint64_t kHeights[] = {1, kRadius, 7 * kRadius, 1024};
+  util::ThreadPool one_lane(0);
+  util::ThreadPool two_lanes(1);
+  util::ThreadPool four_lanes(3);
+  const std::vector<util::ThreadPool*> pools = {nullptr, &one_lane,
+                                                &two_lanes, &four_lanes};
+  for (const int d : {9, 20, 32}) {
+    const GridSpec grid{2, d};
+    const auto r = ClusteredWithDuplicates(d, 1500, 1000 + d);
+    const auto s = ClusteredWithDuplicates(d, 1300, 2000 + d);
+    // Oracle pairs by index, so ranks can order them.
+    std::vector<std::pair<size_t, size_t>> oracle;
+    for (size_t i = 0; i < r.size(); ++i) {
+      for (size_t j = 0; j < s.size(); ++j) {
+        if (Within(r[i], s[j], kRadius)) oracle.emplace_back(i, j);
+      }
+    }
+    ASSERT_GT(oracle.size(), r.size()) << "d=" << d;
+
+    for (const uint64_t h : kHeights) {
+      const auto r_rank = ZoneRanks(r, h);
+      const auto s_rank = ZoneRanks(s, h);
+      auto ordered = oracle;
+      std::sort(ordered.begin(), ordered.end(),
+                [&](const auto& a, const auto& b) {
+                  return std::pair(r_rank[a.first], s_rank[a.second]) <
+                         std::pair(r_rank[b.first], s_rank[b.second]);
+                });
+      std::vector<IdPair> expect;
+      for (const auto& [i, j] : ordered) {
+        expect.push_back(IdPair{r[i].id, s[j].id});
+      }
+
+      for (util::ThreadPool* pool : pools) {
+        DistanceJoinOptions options;
+        options.zone_height = h;
+        options.pool = pool;
+        const auto got =
+            DistanceJoinPairs(r, s, grid, kRadius, nullptr, options);
+        const std::string what =
+            "d=" + std::to_string(d) + " h=" + std::to_string(h) +
+            " lanes=" + std::to_string(pool ? pool->lanes() : 0);
+        ASSERT_EQ(got.size(), expect.size()) << what;
+        for (size_t k = 0; k < got.size(); ++k) {
+          ASSERT_TRUE(got[k] == expect[k])
+              << what << " k=" << k << " got=(" << got[k].r_id << ","
+              << got[k].s_id << ") expect=(" << expect[k].r_id << ","
+              << expect[k].s_id << ")";
+        }
+      }
+    }
   }
 }
 

@@ -156,6 +156,47 @@ TEST(FuzzProtocolTest, OversizedLengthIsRejectedBeforeBuffering) {
   }
 }
 
+TEST(FuzzProtocolTest, PayloadAtTheCapRoundTripsAndOneByteOverIsRefused) {
+  // The encoder and the decoder share one cap: a payload of exactly
+  // kMaxPayloadBytes is a frame the decoder accepts, and one byte more is
+  // not encoded at all, so no peer is ever sent a frame it must refuse.
+  Frame at_cap;
+  at_cap.type = FrameType::kBoxResult;
+  at_cap.request_id = 77;
+  at_cap.payload.assign(kMaxPayloadBytes, 0xA5);
+  std::vector<uint8_t> wire;
+  ASSERT_TRUE(EncodeFrame(at_cap, &wire));
+  Frame got;
+  size_t consumed = 0;
+  Status error = Status::kOk;
+  ASSERT_EQ(DecodeFrame(wire, &got, &consumed, &error), DecodeResult::kFrame);
+  EXPECT_EQ(error, Status::kOk);
+  EXPECT_EQ(consumed, wire.size());
+  EXPECT_EQ(got.payload, at_cap.payload);
+
+  Frame over = at_cap;
+  over.payload.push_back(0x5A);
+  std::vector<uint8_t> untouched = {1, 2, 3};
+  EXPECT_FALSE(EncodeFrame(over, &untouched));
+  EXPECT_EQ(untouched, (std::vector<uint8_t>{1, 2, 3}));
+
+  // As an answer, the over-cap frame becomes a kOversized error for the
+  // same request, which decodes.
+  std::vector<uint8_t> answer;
+  EXPECT_FALSE(EncodeResponse(over, &answer));
+  ASSERT_EQ(DecodeFrame(answer, &got, &consumed, &error), DecodeResult::kFrame);
+  EXPECT_EQ(consumed, answer.size());
+  EXPECT_EQ(got.type, FrameType::kError);
+  EXPECT_EQ(got.request_id, over.request_id);
+  ErrorResponse refused;
+  ASSERT_TRUE(ErrorResponse::FromPayload(got.payload, &refused));
+  EXPECT_EQ(refused.status, Status::kOversized);
+
+  answer.clear();
+  EXPECT_TRUE(EncodeResponse(at_cap, &answer));
+  EXPECT_EQ(answer, wire);
+}
+
 TEST(FuzzProtocolTest, RandomGarbageNeverCrashes) {
   Rng rng(0xF7A3E006);
   for (int iter = 0; iter < 2000; ++iter) {

@@ -1,6 +1,7 @@
 #include "index/zkd_index.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -8,6 +9,9 @@
 
 #include "btree/simd_filter.h"
 #include "geometry/primitives.h"
+#include "index/durable_index.h"
+#include "server/sharded_engine.h"
+#include "temp_file.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/datagen.h"
@@ -397,6 +401,73 @@ TEST(ZkdIndexTest, EfficiencyBetweenZeroAndOne) {
     EXPECT_LE(stats.Efficiency(), 1.0);
     EXPECT_LE(stats.results, stats.entries_on_touched_pages);
   }
+}
+
+/// The counters that identify a query's own work.
+std::vector<uint64_t> Counters(const QueryStats& s) {
+  return {s.leaf_pages,  s.internal_pages, s.points_scanned,
+          s.elements_generated, s.point_seeks, s.results,
+          s.contained_elements, s.materialized_rows};
+}
+
+TEST(ZkdIndexTest, EveryQueryOverwritesItsStats) {
+  // One stats contract: a query that takes a QueryStats* writes that
+  // call's own counters, so a QueryStats reused across queries holds the
+  // last query's, never a running sum.
+  const GridSpec grid{2, 8};
+  workload::DataGenConfig config;
+  config.count = 3000;
+  config.seed = 321;
+  const auto points = workload::GeneratePoints(grid, config);
+  const GridBox big = GridBox::Make2D(0, 200, 0, 200);
+  const GridBox small = GridBox::Make2D(10, 40, 60, 90);
+
+  IndexFixture fixture(grid, points, 20);
+  QueryStats alone;
+  fixture.index().CountBox(small, &alone);
+  ASSERT_GT(alone.leaf_pages, 0u);
+  QueryStats reused;
+  fixture.index().CountBox(big, &reused);
+  fixture.index().CountBox(small, &reused);
+  EXPECT_EQ(Counters(reused), Counters(alone)) << "ZkdIndex::CountBox";
+
+  // The sharded view gathers its parts through RunParts.
+  testutil::TempFile tmp("stats_contract");
+  struct RemoveShards {  // TempFile knows only the prefix's own files
+    std::string prefix;
+    ~RemoveShards() {
+      for (int i = 0; i < 2; ++i) {
+        const std::string base = server::ShardedEngine::ShardPath(prefix, i);
+        for (const char* suffix : {"", ".wal", ".wal.tmp"}) {
+          std::remove((base + suffix).c_str());
+        }
+      }
+    }
+  } remove_shards{tmp.path()};
+  util::ThreadPool pool(1);
+  server::ShardedEngineOptions options;
+  options.shards = 2;
+  options.truncate = true;
+  server::ShardedEngine engine(grid, tmp.path(), options, &pool);
+  ASSERT_TRUE(engine.ok());
+  std::vector<DurableIndex::Op> ops;
+  for (const auto& r : points) {
+    ops.push_back(DurableIndex::Op::Insert(r.point, r.id));
+  }
+  ASSERT_TRUE(engine.Apply(ops));
+  const server::ShardedEngine::View view = engine.CreateView();
+  QueryStats view_alone;
+  view.RangeSearch(small, &view_alone);
+  ASSERT_GT(view_alone.results, 0u);
+  QueryStats view_reused;
+  view.RangeSearch(big, &view_reused);
+  view.RangeSearch(small, &view_reused);
+  EXPECT_EQ(Counters(view_reused), Counters(view_alone))
+      << "ShardedEngine::View::RangeSearch";
+  view.CountBox(small, &view_reused);
+  view.CountBox(small, &view_reused);
+  EXPECT_EQ(view_reused.results, view_alone.results)
+      << "ShardedEngine::View::CountBox";
 }
 
 }  // namespace
