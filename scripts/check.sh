@@ -40,20 +40,14 @@ for b in "$BUILD"/bench/*; do
   "$b"
 done
 
-# Budget gates over the bench JSON the loop just refreshed.
+# Budget gates over the bench JSON the loop just refreshed: the timings
+# that no perfbench workload (BENCHMARK.json) covers. Exact checks —
+# identity, oracles, page and key counts — are asserted in ctest above.
 #
-# BENCH_leaf.json: the compressed-leaf format must keep paying for itself —
-# at least 1.3x more keys per page than v1 on every distribution, the SIMD
-# in-page filter at least 1.3x over its scalar fallback (when the host has
-# AVX2 at all), and the filter's ns/row within 1.25x of the committed
-# baseline so a slow kernel can't land silently.
+# BENCH_leaf.json: the SIMD in-page filter at least 1.3x over its scalar
+# fallback (when the host has AVX2 at all), and the filter's ns/row within
+# 1.25x of the committed baseline so a slow kernel can't land silently.
 if [ -f BENCH_leaf.json ]; then
-  jq -e '[.leaf.datasets[].keys_per_page_gain] | min >= 1.3' BENCH_leaf.json \
-    > /dev/null || { echo "FAIL: keys-per-page gain below 1.3x"; exit 1; }
-  jq -e '[.leaf.datasets[].identical] | all' BENCH_leaf.json > /dev/null \
-    || { echo "FAIL: v2 results diverged from v1"; exit 1; }
-  jq -e '[.leaf.datasets[].materialized_rows] | max == 0' BENCH_leaf.json \
-    > /dev/null || { echo "FAIL: aggregate pushdown materialized rows"; exit 1; }
   jq -e 'if .leaf.avx2 then .leaf.filter_speedup >= 1.3 else true end' \
     BENCH_leaf.json > /dev/null \
     || { echo "FAIL: SIMD filter speedup below 1.3x"; exit 1; }
@@ -76,87 +70,6 @@ if [ -f BENCH_parallel.json ]; then
           | select(.oversubscribed | not) | .speedup >= 0.3] | all' \
     BENCH_parallel.json > /dev/null \
     || { echo "FAIL: in-budget parallel row collapsed vs serial"; exit 1; }
-fi
-
-# BENCH_server.json: every answer a client read over the wire must match
-# the in-process result; throughput must hold the machine-scaled floor the
-# committed baseline recorded; and where the host has cores to back
-# multi-shard rows, shard-per-core scaling must at least match the best
-# single-pool (shared buffer pool) speedup from BENCH_parallel.json.
-if [ -f BENCH_server.json ]; then
-  jq -e '.server.all_identical and
-         ([.server.shard_sweep[].identical] | all)' BENCH_server.json \
-    > /dev/null \
-    || { echo "FAIL: server answers diverged from in-process results"; exit 1; }
-  jq -e '.server.best_qps >= .server.qps_floor' BENCH_server.json \
-    > /dev/null \
-    || { echo "FAIL: server qps below its own recorded floor"; exit 1; }
-  if committed=$(git show HEAD:BENCH_server.json 2>/dev/null); then
-    echo "$committed" | jq -es --slurpfile fresh BENCH_server.json \
-      '.[0].server.qps_floor as $floor |
-       $fresh[0].server.best_qps >= $floor' > /dev/null \
-      || { echo "FAIL: server qps regressed below committed floor"; exit 1; }
-  fi
-  if [ -f BENCH_parallel.json ]; then
-    jq -es '([.[0].server.shard_sweep[]
-              | select(.shards > 1 and (.oversubscribed | not))
-              | .speedup]) as $sharded |
-            ([.[1].range.threads[]
-              | select(.threads > 1 and (.oversubscribed | not))
-              | .speedup]) as $pooled |
-            if ($sharded | length) == 0 or ($pooled | length) == 0 then true
-            else ($sharded | max) >= ($pooled | max) end' \
-      BENCH_server.json BENCH_parallel.json > /dev/null \
-      || { echo "FAIL: shard scaling fell below the single-pool curve"; exit 1; }
-  fi
-fi
-
-# BENCH_commit.json: group commit must actually pay. The loaded writer row
-# keeps the WAL tax (durable time over the WAL-off force+fsync baseline)
-# under its 1.5x budget and shows real grouping (more than one commit per
-# fsync); and where the host has the cores to back concurrent writers at
-# all (rows not marked oversubscribed — not this 1-core container), K=4
-# writers must clear 2x the single-writer insert rate.
-if [ -f BENCH_commit.json ]; then
-  jq -e '.commit.tax_budget as $budget |
-         [.commit.rows[] | select(.writers == 4 and .readers == 0)
-          | .wal_tax <= $budget] | all' BENCH_commit.json > /dev/null \
-    || { echo "FAIL: loaded WAL tax above budget"; exit 1; }
-  jq -e '[.commit.rows[] | select(.writers > 1) | .group_size_avg > 1] | all' \
-    BENCH_commit.json > /dev/null \
-    || { echo "FAIL: concurrent commits are not grouping"; exit 1; }
-  jq -e '([.commit.rows[] | select(.writers == 1 and .readers == 0)
-           | .inserts_per_s] | max) as $single |
-         [.commit.rows[]
-          | select(.writers == 4 and .readers == 0 and
-                   (.oversubscribed | not))
-          | .inserts_per_s >= $single * 2] | all' BENCH_commit.json \
-    > /dev/null \
-    || { echo "FAIL: 4-writer scaling below 2x on a multi-core host"; exit 1; }
-fi
-
-# BENCH_join.json: the zones distance join must stay exact and efficient.
-# Every thread-sweep row and the all-pairs oracle slice must match the
-# serial pair stream bit for bit; the candidate/output ratio must hold the
-# recorded budget (a broken zone map degenerates toward the cross product
-# and blows it immediately); and serial throughput must clear both its own
-# recorded floor and the floor the committed baseline recorded.
-if [ -f BENCH_join.json ]; then
-  jq -e '([.join.rows[].identical] | all) and .join.oracle.identical' \
-    BENCH_join.json > /dev/null \
-    || { echo "FAIL: distance join diverged from serial/oracle"; exit 1; }
-  jq -e '.join.candidate_ratio <= .join.candidate_budget' BENCH_join.json \
-    > /dev/null \
-    || { echo "FAIL: join candidate ratio above budget"; exit 1; }
-  jq -e '.join.points_per_s >= .join.floor_points_per_s' BENCH_join.json \
-    > /dev/null \
-    || { echo "FAIL: join throughput below its own recorded floor"; exit 1; }
-  if committed=$(git show HEAD:BENCH_join.json 2>/dev/null); then
-    echo "$committed" | jq -es --slurpfile fresh BENCH_join.json \
-      '.[0].join.floor_points_per_s as $floor |
-       $fresh[0].join.points_per_s >= $floor' > /dev/null \
-      || { echo "FAIL: join throughput regressed below committed floor"; exit 1; }
-  fi
 fi
 
 if [ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]; then

@@ -59,8 +59,9 @@
 /// record made the flush. Followers just wait for the durable LSN to pass
 /// theirs. One fsync thus acks a whole group, and because the fsync runs
 /// outside the log mutex, other writers keep appending (and the B-tree
-/// keeps mutating) while the disk works — the two effects behind the
-/// sub-1.5x WAL tax BENCH_commit.json gates.
+/// keeps mutating) while the disk works — the two effects that keep the
+/// WAL's cost low under concurrent writers (perfbench's serve_write
+/// times the commits).
 ///
 /// Fault injection. Crash testing needs to kill the engine at every record
 /// boundary, deterministically. A WalFaultPlan arms the log to stop (or

@@ -53,25 +53,33 @@ std::vector<index::PointRecord> Points(const GridSpec& grid, size_t count,
 
 TEST(AggregateCountTest, CountBoxMatchesRangeSearchOnBothFormats) {
   const GridSpec grid{2, 10};
-  const auto points = Points(grid, 20000, 8800);
-  Fixture v1(grid, points, {});
-  Fixture v2(grid, points, btree::BTreeConfig::Compressed());
+  for (const auto dist : {Distribution::kUniform, Distribution::kClustered,
+                          Distribution::kDiagonal}) {
+    SCOPED_TRACE(workload::DistributionName(dist));
+    workload::DataGenConfig data;
+    data.distribution = dist;
+    data.count = 20000;
+    data.seed = 8800;
+    const auto points = GeneratePoints(grid, data);
+    Fixture v1(grid, points, {});
+    Fixture v2(grid, points, btree::BTreeConfig::Compressed());
 
-  util::Rng rng(8801);
-  for (const double volume : {0.001, 0.01, 0.05}) {
-    for (const auto& box :
-         workload::MakeQueryBoxes2D(grid, volume, 1.0, 8, rng)) {
-      const uint64_t expected = v1.index.RangeSearch(box).size();
-      QueryStats v1_stats;
-      QueryStats v2_stats;
-      EXPECT_EQ(v1.index.CountBox(box, &v1_stats), expected);
-      EXPECT_EQ(v2.index.CountBox(box, &v2_stats), expected);
-      // Full-depth decomposition: every element is contained, nothing is
-      // decoded into rows.
-      EXPECT_EQ(v1_stats.materialized_rows, 0u);
-      EXPECT_EQ(v2_stats.materialized_rows, 0u);
-      if (expected > 0) {
-        EXPECT_GT(v2_stats.contained_elements, 0u);
+    util::Rng rng(8801);
+    for (const double volume : {0.001, 0.01, 0.05}) {
+      for (const auto& box :
+           workload::MakeQueryBoxes2D(grid, volume, 1.0, 8, rng)) {
+        const uint64_t expected = v1.index.RangeSearch(box).size();
+        QueryStats v1_stats;
+        QueryStats v2_stats;
+        EXPECT_EQ(v1.index.CountBox(box, &v1_stats), expected);
+        EXPECT_EQ(v2.index.CountBox(box, &v2_stats), expected);
+        // Full-depth decomposition: every element is contained, nothing
+        // is decoded into rows.
+        EXPECT_EQ(v1_stats.materialized_rows, 0u);
+        EXPECT_EQ(v2_stats.materialized_rows, 0u);
+        if (expected > 0) {
+          EXPECT_GT(v2_stats.contained_elements, 0u);
+        }
       }
     }
   }

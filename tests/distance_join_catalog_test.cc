@@ -1,8 +1,7 @@
 // The zones distance join at catalog shape: two correlated 200k-point
-// catalogs on a 2^20 grid at radius 8, the bench_join workload scaled
-// down. It asserts the three properties scripts/check.sh reads from
-// BENCH_join.json, so they hold on every ctest run and not only when the
-// bench runs:
+// catalogs on a 2^20 grid at radius 8, perfbench's 2M x 2M crossmatch
+// workload scaled down, on which ctest asserts the join's exact
+// properties at scale:
 //  - the pooled join emits the serial pair stream, in order, at 1, 2 and
 //    4 merge partitions;
 //  - a 10k x 10k slice equals the all-pairs oracle;

@@ -12,13 +12,12 @@
 // Regenerate snapshots with:  ./explain_analyze_test --update-golden
 
 #include <cmath>
-#include <fstream>
 #include <regex>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "golden.h"
 #include "index/cost_model.h"
 #include "query/executor.h"
 #include "query/explain.h"
@@ -32,10 +31,9 @@
 namespace probe::query {
 namespace {
 
-bool g_update_golden = false;
-
 using geometry::GridBox;
 using geometry::GridPoint;
+using testutil::CheckGolden;
 using zorder::GridSpec;
 
 /// Replaces every wall-clock figure with a fixed token so snapshots are
@@ -46,28 +44,6 @@ std::string MaskTimings(const std::string& s) {
   static const std::regex kTextMs("[0-9]+\\.[0-9]+ ms");
   std::string out = std::regex_replace(s, kJsonMs, "$1\"<ms>\"");
   return std::regex_replace(out, kTextMs, "<ms>");
-}
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(PROBE_GOLDEN_DIR) + "/" + name;
-}
-
-void CheckGolden(const std::string& name, const std::string& content) {
-  const std::string path = GoldenPath(name);
-  if (g_update_golden) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << content;
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path
-                         << " is missing; run with --update-golden to create";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(content, want.str())
-      << "EXPLAIN ANALYZE output for '" << name << "' drifted from " << path
-      << "\nif the change is intended, rerun with --update-golden";
 }
 
 /// The golden fixture: the same seeded dataset explain_golden_test plans
@@ -257,14 +233,5 @@ TEST(ExplainAnalyzeTest, EstimatesTrackMeasuredMissesOnCalibrationWorkload) {
 }  // namespace probe::query
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--update-golden") {
-      probe::query::g_update_golden = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
+  return probe::testutil::GoldenTestMain(argc, argv);
 }

@@ -11,17 +11,29 @@
 //   ./explain_golden_test --update-golden
 //
 // which rewrites every snapshot in the source tree and exits green.
+//
+// Each case then drains the plan it snapshotted and checks the answer:
+// equal to the engine's direct call (same ids in the same order, the
+// same count, the same pairs) and, for every index-backed plan, equal to
+// a brute-force pass over the fixture's points. The brute-force half is
+// what lets a fault in the skip-merge fail these tests, since the plan
+// and the direct call run the same merge.
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden.h"
 #include "index/cost_model.h"
+#include "index/nearest.h"
+#include "query/executor.h"
 #include "query/explain.h"
 #include "query/planner.h"
+#include "relational/distance_join.h"
 #include "util/thread_pool.h"
 #include "workload/datagen.h"
 #include "workload/experiment.h"
@@ -29,10 +41,9 @@
 namespace probe::query {
 namespace {
 
-bool g_update_golden = false;
-
 using geometry::GridBox;
 using geometry::GridPoint;
+using testutil::CheckGolden;
 using zorder::GridSpec;
 
 /// The one fixture every snapshot is planned against. Everything is
@@ -67,35 +78,77 @@ struct GoldenFixture {
   }
 };
 
-std::string GoldenPath(const std::string& name) {
-  return std::string(PROBE_GOLDEN_DIR) + "/" + name + ".json";
+uint64_t SquaredDistance(const GridPoint& a, const GridPoint& b) {
+  const int64_t dx = static_cast<int64_t>(a[0]) - b[0];
+  const int64_t dy = static_cast<int64_t>(a[1]) - b[1];
+  return static_cast<uint64_t>(dx * dx + dy * dy);
 }
 
-/// Compares `json` against the named snapshot — or rewrites the snapshot
-/// when --update-golden was passed.
-void CheckGolden(const std::string& name, const std::string& json) {
-  const std::string path = GoldenPath(name);
-  if (g_update_golden) {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << json;
-    return;
+std::vector<uint64_t> Sorted(std::vector<uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Brute force: the sorted ids of the fixture's points that `keep` admits.
+template <typename Pred>
+std::vector<uint64_t> OracleIds(const GoldenFixture& fx, Pred keep) {
+  std::vector<uint64_t> ids;
+  for (const auto& r : fx.points) {
+    if (keep(r.point)) ids.push_back(r.id);
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path
-                         << " is missing; run with --update-golden to create";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(json, want.str())
-      << "plan for '" << name << "' drifted from " << path
-      << "\nif the change is intended, rerun with --update-golden";
+  return Sorted(std::move(ids));
+}
+
+std::vector<uint64_t> OracleBox(const GoldenFixture& fx, const GridBox& box) {
+  return OracleIds(fx,
+                   [&](const GridPoint& p) { return box.ContainsPoint(p); });
+}
+
+/// Drains a range plan: the engine's own RangeSearch in stream order (or,
+/// for a plan that is not a z scan, as a set), and the brute-force set.
+void ExpectRangeAnswer(const GoldenFixture& fx, PlanNode& root,
+                       const GridBox& box, bool z_order) {
+  const auto ids = ExecuteIds(root);
+  const auto direct = fx.built.index->RangeSearch(box);
+  if (z_order) {
+    EXPECT_EQ(ids, direct);
+  } else {
+    EXPECT_EQ(Sorted(ids), Sorted(direct));
+  }
+  EXPECT_EQ(Sorted(ids), OracleBox(fx, box));
+}
+
+/// The second catalog every distance-join case joins against.
+std::vector<index::PointRecord> JoinCatalog(const GridSpec& grid) {
+  workload::DataGenConfig s_config;
+  s_config.count = 3000;
+  s_config.seed = 7200;
+  return GeneratePoints(grid, s_config);
+}
+
+/// Drains a distance-join plan: the (r_id, s_id) rows equal the direct
+/// DistanceJoinPairs stream, in order.
+void ExpectJoinAnswer(const GoldenFixture& fx, PlanNode& root,
+                      std::span<const index::PointRecord> s_points,
+                      uint64_t radius) {
+  const ExecutionResult result = Execute(root);
+  const auto direct =
+      relational::DistanceJoinPairs(fx.points, s_points, fx.grid, radius);
+  ASSERT_EQ(result.rows.size(), direct.size());
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(std::get<int64_t>(result.rows.row(i)[0]),
+              static_cast<int64_t>(direct[i].r_id));
+    EXPECT_EQ(std::get<int64_t>(result.rows.row(i)[1]),
+              static_cast<int64_t>(direct[i].s_id));
+  }
 }
 
 TEST(ExplainGoldenTest, SerialRangeScan) {
   const GoldenFixture fx;
-  PlannedQuery planned =
-      Plan(Query::Range(GridBox::Make2D(100, 400, 100, 400)), fx.Context());
-  CheckGolden("range_serial", ExplainJsonPretty(*planned.root));
+  const GridBox box = GridBox::Make2D(100, 400, 100, 400);
+  PlannedQuery planned = Plan(Query::Range(box), fx.Context());
+  CheckGolden("range_serial.json", ExplainJsonPretty(*planned.root));
+  ExpectRangeAnswer(fx, *planned.root, box, /*z_order=*/true);
 }
 
 TEST(ExplainGoldenTest, ParallelRangeScan) {
@@ -104,49 +157,84 @@ TEST(ExplainGoldenTest, ParallelRangeScan) {
   PlannerOptions options;
   options.parallel_page_threshold = 1;
   options.pages_per_lane = 1;
-  PlannedQuery planned = Plan(Query::Range(GridBox::Make2D(50, 800, 50, 800)),
-                              fx.Context(&pool), options);
-  CheckGolden("range_parallel", ExplainJsonPretty(*planned.root));
+  const GridBox box = GridBox::Make2D(50, 800, 50, 800);
+  PlannedQuery planned = Plan(Query::Range(box), fx.Context(&pool), options);
+  CheckGolden("range_parallel.json", ExplainJsonPretty(*planned.root));
+  ExpectRangeAnswer(fx, *planned.root, box, /*z_order=*/true);
 }
 
 TEST(ExplainGoldenTest, DepthCappedRangeScan) {
   const GoldenFixture fx;
   PlannerOptions options;
   options.element_budget = 64;
-  PlannedQuery planned = Plan(Query::Range(GridBox::Make2D(10, 900, 10, 900)),
-                              fx.Context(), options);
-  CheckGolden("range_depth_capped", ExplainJsonPretty(*planned.root));
+  const GridBox box = GridBox::Make2D(10, 900, 10, 900);
+  PlannedQuery planned = Plan(Query::Range(box), fx.Context(), options);
+  CheckGolden("range_depth_capped.json", ExplainJsonPretty(*planned.root));
+  ExpectRangeAnswer(fx, *planned.root, box, /*z_order=*/true);
 }
 
 TEST(ExplainGoldenTest, BucketKdFallback) {
   const GoldenFixture fx;
   PlannerOptions options;
   options.kd_advantage = 1e9;  // any finite kd estimate wins
+  const GridBox box = GridBox::Make2D(100, 400, 100, 400);
   PlannedQuery planned =
-      Plan(Query::Range(GridBox::Make2D(100, 400, 100, 400)),
-           fx.Context(nullptr, /*with_kd=*/true), options);
-  CheckGolden("range_kd_fallback", ExplainJsonPretty(*planned.root));
+      Plan(Query::Range(box), fx.Context(nullptr, /*with_kd=*/true), options);
+  CheckGolden("range_kd_fallback.json", ExplainJsonPretty(*planned.root));
+  ExpectRangeAnswer(fx, *planned.root, box, /*z_order=*/false);
 }
 
 TEST(ExplainGoldenTest, AggregateCount) {
   const GoldenFixture fx;
-  PlannedQuery planned =
-      Plan(Query::Count(GridBox::Make2D(100, 400, 100, 400)), fx.Context());
-  CheckGolden("aggregate_count", ExplainJsonPretty(*planned.root));
+  const GridBox box = GridBox::Make2D(100, 400, 100, 400);
+  PlannedQuery planned = Plan(Query::Count(box), fx.Context());
+  CheckGolden("aggregate_count.json", ExplainJsonPretty(*planned.root));
+  const ExecutionResult result = Execute(*planned.root);
+  ASSERT_EQ(result.rows.size(), 1u);
+  const auto count =
+      static_cast<uint64_t>(std::get<int64_t>(result.rows.row(0)[0]));
+  EXPECT_EQ(count, fx.built.index->CountBox(box));
+  EXPECT_EQ(count, OracleBox(fx, box).size());
 }
 
 TEST(ExplainGoldenTest, WithinDistance) {
   const GoldenFixture fx;
-  PlannedQuery planned = Plan(
-      Query::WithinDistance(GridPoint({512, 512}), 60.0), fx.Context());
-  CheckGolden("within_distance", ExplainJsonPretty(*planned.root));
+  const GridPoint center({512, 512});
+  PlannedQuery planned =
+      Plan(Query::WithinDistance(center, 60.0), fx.Context());
+  CheckGolden("within_distance.json", ExplainJsonPretty(*planned.root));
+  const auto ids = ExecuteIds(*planned.root);
+  EXPECT_EQ(ids, index::WithinDistance(*fx.built.index, center, 60.0));
+  EXPECT_EQ(Sorted(ids), OracleIds(fx, [&](const GridPoint& p) {
+              return SquaredDistance(p, center) <= 60 * 60;
+            }));
 }
 
 TEST(ExplainGoldenTest, KNearest) {
   const GoldenFixture fx;
-  PlannedQuery planned =
-      Plan(Query::KNearest(GridPoint({512, 512}), 16), fx.Context());
-  CheckGolden("k_nearest", ExplainJsonPretty(*planned.root));
+  const GridPoint center({512, 512});
+  constexpr size_t kK = 16;
+  PlannedQuery planned = Plan(Query::KNearest(center, kK), fx.Context());
+  CheckGolden("k_nearest.json", ExplainJsonPretty(*planned.root));
+  const ExecutionResult result = Execute(*planned.root);
+  // Brute force: every point by (distance, id), the first k — the order
+  // KNearest promises, ties included.
+  std::vector<std::pair<uint64_t, uint64_t>> all;
+  for (const auto& r : fx.points) {
+    all.emplace_back(SquaredDistance(r.point, center), r.id);
+  }
+  std::sort(all.begin(), all.end());
+  const auto direct = index::KNearest(*fx.built.index, center, kK);
+  ASSERT_EQ(direct.size(), kK);
+  ASSERT_EQ(result.rows.size(), kK);
+  for (size_t i = 0; i < kK; ++i) {
+    EXPECT_EQ(std::get<int64_t>(result.rows.row(i)[0]),
+              static_cast<int64_t>(direct[i].id));
+    EXPECT_EQ(std::get<int64_t>(result.rows.row(i)[1]),
+              static_cast<int64_t>(direct[i].distance2));
+    EXPECT_EQ(direct[i].id, all[i].second);
+    EXPECT_EQ(static_cast<uint64_t>(direct[i].distance2), all[i].first);
+  }
 }
 
 TEST(ExplainGoldenTest, DistanceJoin) {
@@ -154,42 +242,29 @@ TEST(ExplainGoldenTest, DistanceJoin) {
   // A second seeded catalog joined against the fixture's points; the
   // distance join plans standalone (no index), so only the analytic
   // estimate and the operator shape land in the snapshot.
-  workload::DataGenConfig s_config;
-  s_config.count = 3000;
-  s_config.seed = 7200;
-  const auto s_points = GeneratePoints(fx.grid, s_config);
+  const auto s_points = JoinCatalog(fx.grid);
   PlannedQuery planned = Plan(
       Query::DistanceJoin(fx.points, s_points, fx.grid, 8), fx.Context());
-  CheckGolden("distance_join", ExplainJsonPretty(*planned.root));
+  CheckGolden("distance_join.json", ExplainJsonPretty(*planned.root));
+  ExpectJoinAnswer(fx, *planned.root, s_points, 8);
 }
 
 TEST(ExplainGoldenTest, ParallelDistanceJoin) {
   const GoldenFixture fx;
-  workload::DataGenConfig s_config;
-  s_config.count = 3000;
-  s_config.seed = 7200;
-  const auto s_points = GeneratePoints(fx.grid, s_config);
+  const auto s_points = JoinCatalog(fx.grid);
   util::ThreadPool pool(3);
   PlannerOptions options;
   options.join_parallel_row_threshold = 1;
   PlannedQuery planned =
       Plan(Query::DistanceJoin(fx.points, s_points, fx.grid, 8),
            fx.Context(&pool), options);
-  CheckGolden("distance_join_parallel", ExplainJsonPretty(*planned.root));
+  CheckGolden("distance_join_parallel.json", ExplainJsonPretty(*planned.root));
+  ExpectJoinAnswer(fx, *planned.root, s_points, 8);
 }
 
 }  // namespace
 }  // namespace probe::query
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--update-golden") {
-      probe::query::g_update_golden = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
+  return probe::testutil::GoldenTestMain(argc, argv);
 }

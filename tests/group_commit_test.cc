@@ -2,8 +2,9 @@
 // concurrency tier: WAL commit grouping (one fsync acks many commits),
 // the acked ⊆ durable invariant under a multi-threaded commit storm,
 // concurrent DurableIndex::Apply equivalence with serial epoch-order
-// replay, snapshot isolation from later commits, checkpoint draining, and
-// the schedule harness's same-seed determinism. The TSan build runs this
+// replay, concurrent Applies sharing fsyncs, snapshot isolation from
+// later commits, checkpoint draining, and the schedule harness's
+// same-seed determinism. The TSan build runs this
 // via the `concurrency` ctest label; the seeded interleaving sweep lives
 // in schedule_fuzz_test.cc.
 
@@ -227,6 +228,43 @@ TEST(GroupCommitTest, ConcurrentAppliesMatchSerialReplayByEpoch) {
   EXPECT_EQ(db.index().size(),
             static_cast<uint64_t>(kThreads * kBatchesPerThread *
                                   kInsertsPerBatch));
+}
+
+// Concurrent writers on one DurableIndex share fsyncs: while the first
+// leader lingers, the other writers' commits queue behind it, so one
+// fsync acks several commits (the mean group size exceeds one).
+TEST(GroupCommitTest, ConcurrentAppliesShareFsyncs) {
+  constexpr int kThreads = 4;
+  testutil::TempFile tmp("group_commit_share_apply");
+  DurableIndex::Options options;
+  options.truncate = true;
+  DurableIndex db(kGrid, tmp.path(), options);
+  ASSERT_TRUE(db.ok());
+  // Far longer than the writers take to start and append, and bounded:
+  // the leader's wait ends at the deadline whatever happens.
+  db.wal().SetGroupCommitDelay(std::chrono::milliseconds(200));
+  const storage::WalStats before = db.wal().stats();
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&db, t] {
+      std::vector<Op> batch;
+      for (uint32_t i = 0; i < 4; ++i) {
+        const uint64_t id = static_cast<uint64_t>(t) * 10 + i + 1;
+        const GridPoint p({i, static_cast<uint32_t>(t)});
+        batch.push_back(Op::Insert(p, id));
+      }
+      EXPECT_TRUE(db.Apply(batch));
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const storage::WalStats after = db.wal().stats();
+  const uint64_t commits = after.group_commits - before.group_commits;
+  const uint64_t syncs = after.syncs - before.syncs;
+  EXPECT_EQ(commits, static_cast<uint64_t>(kThreads));
+  EXPECT_LT(syncs, commits) << "concurrent commits did not group";
+  EXPECT_EQ(db.index().size(), static_cast<uint64_t>(kThreads * 4));
 }
 
 TEST(GroupCommitTest, SnapshotIsIsolatedFromLaterCommits) {

@@ -5,8 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,13 +17,17 @@
 #include "obs/runtime_metrics.h"
 #include "server/client.h"
 #include "temp_file.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/datagen.h"
+#include "workload/querygen.h"
 
 // End-to-end over real TCP: a client executes every query type against a
 // ShardedEngine through the server and gets byte-identical answers to
-// in-process calls; pipelined requests come back in order; the same
-// listener answers HTTP /metrics and /healthz; and Stop() is graceful.
+// in-process calls; pipelined requests come back in order; several
+// pipelining clients against 1, 2 and 4 shards get the single-shard
+// answers; the same listener answers HTTP /metrics and /healthz; and
+// Stop() is graceful.
 
 namespace probe::server {
 namespace {
@@ -30,6 +36,23 @@ using geometry::GridBox;
 using geometry::GridPoint;
 
 constexpr zorder::GridSpec kGrid{2, 8};
+
+std::vector<index::DurableIndex::Op> InsertOps(
+    const std::vector<index::PointRecord>& points) {
+  std::vector<index::DurableIndex::Op> ops;
+  for (const auto& r : points) {
+    ops.push_back(index::DurableIndex::Op::Insert(r.point, r.id));
+  }
+  return ops;
+}
+
+void RemoveShardFiles(const std::string& prefix, int shards) {
+  for (int i = 0; i < shards; ++i) {
+    const std::string base = ShardedEngine::ShardPath(prefix, i);
+    std::remove(base.c_str());
+    std::remove((base + ".wal").c_str());
+  }
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -47,12 +70,8 @@ class ServerTest : public ::testing::Test {
     config.distribution = workload::Distribution::kClustered;
     config.count = 2000;
     config.seed = 5;
-    const auto points = workload::GeneratePoints(kGrid, config);
-    std::vector<index::DurableIndex::Op> ops;
-    for (const auto& r : points) {
-      ops.push_back(index::DurableIndex::Op::Insert(r.point, r.id));
-    }
-    ASSERT_TRUE(engine_->Apply(ops));
+    ASSERT_TRUE(
+        engine_->Apply(InsertOps(workload::GeneratePoints(kGrid, config))));
 
     server_ = std::make_unique<Server>(engine_.get(), ServerOptions{});
     ASSERT_TRUE(server_->Start());
@@ -61,11 +80,7 @@ class ServerTest : public ::testing::Test {
 
   void TearDown() override {
     if (server_ != nullptr) server_->Stop();
-    for (int i = 0; i < 4; ++i) {
-      const std::string base = ShardedEngine::ShardPath(tmp_->path(), i);
-      std::remove(base.c_str());
-      std::remove((base + ".wal").c_str());
-    }
+    RemoveShardFiles(tmp_->path(), 4);
   }
 
   // One blocking HTTP exchange against the server's port.
@@ -323,6 +338,117 @@ TEST_F(ServerTest, CorruptFrameClosesOnlyThatConnection) {
   std::vector<uint64_t> ids;
   EXPECT_TRUE(good.Range(GridBox::Make2D(0, 50, 0, 50), &ids));
 }
+
+// The scatter-gather over the wire, under load: the engine split into 1, 2
+// or 4 shards behind the server, several clients each pipelining windows
+// of RANGE and COUNT requests. Every answer must equal the single-shard
+// engine's in-process answer, RANGE ids in the same order.
+class ServerShardSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServerShardSweepTest, PipelinedClientsGetSingleShardAnswers) {
+  constexpr zorder::GridSpec kSweepGrid{2, 16};
+  constexpr int kClients = 4;
+  constexpr int kWindow = 64;
+  constexpr int kPerClient = 256;
+  const int shards = GetParam();
+
+  workload::DataGenConfig data;
+  data.count = 20000;
+  data.seed = 17;
+  const auto ops = InsertOps(workload::GeneratePoints(kSweepGrid, data));
+  util::Rng rng(4321);
+  const auto boxes =
+      workload::MakeQueryBoxes2D(kSweepGrid, 0.001, 1.0, 256, rng);
+
+  std::vector<std::vector<uint64_t>> expected_ids;
+  std::vector<uint64_t> expected_counts;
+  {
+    testutil::TempFile one_tmp("server_sweep_one");
+    util::ThreadPool pool(1);
+    ShardedEngineOptions options;
+    options.shards = 1;
+    options.truncate = true;
+    ShardedEngine one(kSweepGrid, one_tmp.path(), options, &pool);
+    ASSERT_TRUE(one.ok());
+    ASSERT_TRUE(one.Apply(ops));
+    for (const auto& box : boxes) {
+      expected_ids.push_back(one.RangeSearch(box));
+      expected_counts.push_back(one.CountBox(box));
+    }
+    RemoveShardFiles(one_tmp.path(), 1);
+  }
+  uint64_t hits = 0;
+  for (const uint64_t n : expected_counts) hits += n;
+  ASSERT_GT(hits, boxes.size()) << "the boxes must hit points";
+
+  testutil::TempFile tmp("server_sweep");
+  util::ThreadPool pool(shards);
+  ShardedEngineOptions options;
+  options.shards = shards;
+  options.truncate = true;
+  ShardedEngine engine(kSweepGrid, tmp.path(), options, &pool);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine.Apply(ops));
+  Server server(&engine, ServerOptions{});  // 8 workers: one per client
+  ASSERT_TRUE(server.Start());
+
+  // Client c's i-th request asks about box (c * 977 + i) mod 256: RANGE on
+  // even i, COUNT on odd.
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client client;
+      HelloResponse hello;
+      if (!client.ConnectTcp(server.port()) || !client.Hello(&hello)) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int done = 0; done < kPerClient; done += kWindow) {
+        for (int i = done; i < done + kWindow; ++i) {
+          const size_t q = static_cast<size_t>(c * 977 + i) % boxes.size();
+          const auto id = static_cast<uint32_t>(i + 1);
+          const Frame frame = i % 2 == 0 ? RangeRequest{boxes[q]}.ToFrame(id)
+                                         : CountRequest{boxes[q]}.ToFrame(id);
+          if (!client.Send(frame)) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+        for (int i = done; i < done + kWindow; ++i) {
+          const size_t q = static_cast<size_t>(c * 977 + i) % boxes.size();
+          Frame frame;
+          if (!client.Recv(&frame) ||
+              frame.request_id != static_cast<uint32_t>(i + 1)) {
+            failures.fetch_add(1);
+            return;
+          }
+          RangeResponse range;
+          CountResponse count;
+          const bool same =
+              i % 2 == 0
+                  ? frame.type == FrameType::kRangeResult &&
+                        RangeResponse::FromPayload(frame.payload, &range) &&
+                        range.ids == expected_ids[q]
+                  : frame.type == FrameType::kCountResult &&
+                        CountResponse::FromPayload(frame.payload, &count) &&
+                        count.count == expected_counts[q];
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+      client.Goodbye();
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.Stop();
+  RemoveShardFiles(tmp.path(), shards);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ServerShardSweepTest,
+                         ::testing::Values(1, 2, 4));
 
 }  // namespace
 }  // namespace probe::server
