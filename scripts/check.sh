@@ -13,9 +13,26 @@
 #   <build>-cov    gcov instrumentation, ctest -L obs + coverage floor
 # Skip the sanitizer passes (e.g. on a machine without the runtimes) with
 # CHECK_SKIP_SANITIZERS=1, the coverage pass with CHECK_SKIP_COVERAGE=1.
+#
+# A failed configure or build stops the script (nothing after it can run).
+# Every other step — test runs, benches, budget gates, lint — runs whatever
+# failed before it; the script then exits 1 and names each failed step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
+FAILURES=()
+
+# Runs the command after the step's name; on failure records the name and
+# carries on. The FAIL line goes to stderr, so a caller may discard the
+# command's stdout (jq -e prints its verdict) without losing it.
+step() {
+  local name="$1"
+  shift
+  if ! "$@"; then
+    echo "FAIL: $name" >&2
+    FAILURES+=("$name")
+  fi
+}
 
 configure() {
   # Keep whatever generator an existing dir was configured with; prefer
@@ -31,13 +48,13 @@ configure() {
 
 configure "$BUILD"
 cmake --build "$BUILD"
-ctest --test-dir "$BUILD" --output-on-failure
+step "ctest" ctest --test-dir "$BUILD" --output-on-failure
 
 for b in "$BUILD"/bench/*; do
   # The bench dir also holds CMake bookkeeping; only run real binaries.
   [ -x "$b" ] && [ -f "$b" ] || continue
   echo "=== running $b ==="
-  "$b"
+  step "$(basename "$b")" "$b"
 done
 
 # Budget gates over the bench JSON the loop just refreshed: the timings
@@ -48,14 +65,14 @@ done
 # fallback (when the host has AVX2 at all), and the filter's ns/row within
 # 1.25x of the committed baseline so a slow kernel can't land silently.
 if [ -f BENCH_leaf.json ]; then
-  jq -e 'if .leaf.avx2 then .leaf.filter_speedup >= 1.3 else true end' \
-    BENCH_leaf.json > /dev/null \
-    || { echo "FAIL: SIMD filter speedup below 1.3x"; exit 1; }
+  step "SIMD filter speedup below 1.3x" \
+    jq -e 'if .leaf.avx2 then .leaf.filter_speedup >= 1.3 else true end' \
+    BENCH_leaf.json > /dev/null
   if committed=$(git show HEAD:BENCH_leaf.json 2>/dev/null); then
-    echo "$committed" | jq -es --slurpfile fresh BENCH_leaf.json \
-      '.[0].leaf.filter_simd_ns_per_row as $base |
-       $fresh[0].leaf.filter_simd_ns_per_row <= $base * 1.25' > /dev/null \
-      || { echo "FAIL: filter ns/row regressed vs committed baseline"; exit 1; }
+    step "filter ns/row regressed vs committed baseline" \
+      jq -en --argjson base "$committed" --slurpfile fresh BENCH_leaf.json \
+      '$fresh[0].leaf.filter_simd_ns_per_row <=
+       $base.leaf.filter_simd_ns_per_row * 1.25' > /dev/null
   fi
 fi
 
@@ -63,13 +80,13 @@ fi
 # every row; speedup is only meaningful up to the hardware's core count, so
 # rows marked oversubscribed are excluded from regression judgement.
 if [ -f BENCH_parallel.json ]; then
-  jq -e '[.. | objects | select(has("identical")) | .identical] | all' \
-    BENCH_parallel.json > /dev/null \
-    || { echo "FAIL: parallel results diverged from serial"; exit 1; }
-  jq -e '[.. | objects | select(has("oversubscribed"))
-          | select(.oversubscribed | not) | .speedup >= 0.3] | all' \
-    BENCH_parallel.json > /dev/null \
-    || { echo "FAIL: in-budget parallel row collapsed vs serial"; exit 1; }
+  step "parallel results diverged from serial" \
+    jq -e '[.. | objects | select(has("identical")) | .identical] | all' \
+    BENCH_parallel.json > /dev/null
+  step "in-budget parallel row collapsed vs serial" \
+    jq -e '[.. | objects | select(has("oversubscribed"))
+            | select(.oversubscribed | not) | .speedup >= 0.3] | all' \
+    BENCH_parallel.json > /dev/null
 fi
 
 if [ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]; then
@@ -80,41 +97,50 @@ if [ "${CHECK_SKIP_SANITIZERS:-0}" != "1" ]; then
   ASAN_BUILD="${BUILD}-asan"
   configure "$ASAN_BUILD" -DPROBE_ASAN=ON -DPROBE_UBSAN=ON -DPROBE_AUDIT=ON
   cmake --build "$ASAN_BUILD"
-  ctest --test-dir "$ASAN_BUILD" --output-on-failure
+  step "ctest (asan)" ctest --test-dir "$ASAN_BUILD" --output-on-failure
 
   # The recovery tier (WAL, redo, 240-cycle crash matrix) again by name:
   # every recovery path must hold under ASan, not just the plain build.
-  ctest --test-dir "$ASAN_BUILD" -L recovery --output-on-failure
+  step "ctest -L recovery (asan)" \
+    ctest --test-dir "$ASAN_BUILD" -L recovery --output-on-failure
 
   # The server tier (wire codec fuzz, sessions, sharded scatter-gather,
   # TCP end-to-end) likewise: hostile frames and socket teardown paths are
   # exactly where ASan/UBSan earn their keep.
-  ctest --test-dir "$ASAN_BUILD" -L server --output-on-failure
+  step "ctest -L server (asan)" \
+    ctest --test-dir "$ASAN_BUILD" -L server --output-on-failure
 
   # The join tier (zones distance join, 128-bit distances, SIMD distance
   # kernel, the k-NN fuzzer): overflow and out-of-bounds in the kernels is
   # exactly what ASan/UBSan catch that the oracle tests alone cannot.
-  ctest --test-dir "$ASAN_BUILD" -L join --output-on-failure
+  step "ctest -L join (asan)" \
+    ctest --test-dir "$ASAN_BUILD" -L join --output-on-failure
 
   # ThreadSanitizer over the tests that exercise the thread pool and the
   # sharded buffer pool (ctest label `concurrency`).
   TSAN_BUILD="${BUILD}-tsan"
   configure "$TSAN_BUILD" -DPROBE_TSAN=ON
   cmake --build "$TSAN_BUILD" --target concurrency_tests
-  ctest --test-dir "$TSAN_BUILD" -L concurrency --output-on-failure
+  step "ctest -L concurrency (tsan)" \
+    ctest --test-dir "$TSAN_BUILD" -L concurrency --output-on-failure
 fi
 
 # Coverage gate: gcov build, obs-labeled tests, >=80% line floor on
 # src/obs/. Its own build dir, like the sanitizers (instrumented objects
 # can't link against plain ones). Skip with CHECK_SKIP_COVERAGE=1.
 if [ "${CHECK_SKIP_COVERAGE:-0}" != "1" ]; then
-  scripts/coverage.sh "${BUILD}-cov" 80
+  step "coverage" scripts/coverage.sh "${BUILD}-cov" 80
 fi
 
 # Static-analysis gate: the invariant linter always runs; the clang-tidy
 # half soft-skips when clang-tidy is unavailable (the gcc-only container)
 # unless the caller overrides LINT_SOFT_SKIP. CI runs lint.sh directly
 # with the tools installed, where missing tools are a hard failure.
-LINT_SOFT_SKIP="${LINT_SOFT_SKIP:-1}" scripts/lint.sh "$BUILD"
+step "lint" env LINT_SOFT_SKIP="${LINT_SOFT_SKIP:-1}" scripts/lint.sh "$BUILD"
 
+if [ ${#FAILURES[@]} -gt 0 ]; then
+  echo "CHECKS FAILED (${#FAILURES[@]}):"
+  printf '  %s\n' "${FAILURES[@]}"
+  exit 1
+fi
 echo "ALL CHECKS PASSED"

@@ -62,6 +62,12 @@ void AuditLeafV2Page(const storage::Page& page, int min_count, int max_count) {
                         "v2 leaf decoded a different entry count");
   }
 
+  if (page.Read<uint16_t>(kV2WorstOffset) != V2WorstSize(entries)) {
+    check::AuditFailure(__FILE__, __LINE__, "v2 header worst-case bytes",
+                        "v2 leaf header worst-case bytes disagree with "
+                        "entries");
+  }
+
   const int prefix_len = page.Read<uint8_t>(kV2PrefixLenOffset);
   const uint64_t prefix_raw = page.Read<uint64_t>(kV2PrefixOffset);
   const uint64_t prefix_mask =

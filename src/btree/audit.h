@@ -26,8 +26,9 @@ void AuditInternalPage(const InternalView& node, int min_count,
 /// Compressed-leaf (v2) audit: kind tag, count within [min_count,
 /// max_count], every decoded key extends the stored shared prefix, keys
 /// in z order, decoded count == header count (V2Decode itself verifies
-/// the used-bytes accounting), and the header's last key equal to the
-/// last decoded key.
+/// the used-bytes accounting), the header's last key equal to the last
+/// decoded key, and the header's worst-case bytes equal to V2WorstSize of
+/// the decoded entries.
 void AuditLeafV2Page(const storage::Page& page, int min_count, int max_count);
 
 }  // namespace probe::btree

@@ -210,8 +210,15 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
 
 void BTree::InsertLeafV2(PageRef& ref, const ZKey& key, uint64_t payload,
                          SplitResult* result) {
-  // v2 pages mutate by decode -> edit -> re-encode; admission is the
-  // worst-case byte budget plus the configured count cap.
+  // Admission is the worst-case byte budget plus the configured count
+  // cap. An insert that keeps the page's first key and shared prefix is
+  // written in place; the rest decode -> edit -> re-encode (or split).
+  const int cap = V2LeafCap();
+  if (V2InsertInPlace(&ref.page(), LeafEntry{key, payload}, cap)) {
+    ref.MarkDirty();
+    PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, cap));
+    return;
+  }
   std::vector<LeafEntry> entries;
   V2Decode(ref.page(), &entries);
   auto it = std::lower_bound(
@@ -222,7 +229,6 @@ void BTree::InsertLeafV2(PageRef& ref, const ZKey& key, uint64_t payload,
   entries.insert(it, LeafEntry{key, payload});
   const PageId next = ref.page().Read<PageId>(kNextLeafOffset);
 
-  const int cap = V2LeafCap();
   if (static_cast<int>(entries.size()) <= cap && V2Admits(entries)) {
     V2Encode(&ref.page(), entries, next);
     ref.MarkDirty();
@@ -648,17 +654,16 @@ void BTree::Cursor::EnsureCache() {
   if (cache_valid_) return;
   storage::Page& page = leaf_ref_.page();
   if (KindOf(page) == kLeafV2Kind) {
-    V2Decode(page, &cache_entries_);
+    V2Decode(page, &cache_entries_, &cache_z_);
   } else {
     LeafView leaf(&page);
-    const int n = leaf.count();
-    cache_entries_.clear();
-    cache_entries_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) cache_entries_.push_back(leaf.Get(i));
-  }
-  cache_z_.resize(cache_entries_.size());
-  for (size_t i = 0; i < cache_entries_.size(); ++i) {
-    cache_z_[i] = cache_entries_[i].key.ToZValue().ToInteger();
+    const size_t n = static_cast<size_t>(leaf.count());
+    cache_entries_.resize(n);
+    cache_z_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      cache_entries_[i] = leaf.Get(static_cast<int>(i));
+      cache_z_[i] = cache_entries_[i].key.ToInteger();
+    }
   }
   cache_valid_ = true;
 }
@@ -670,10 +675,10 @@ int BTree::Cursor::LeafCountHeader() {
 uint64_t BTree::Cursor::LeafLastZ() {
   storage::Page& page = leaf_ref_.page();
   if (KindOf(page) == kLeafV2Kind) {
-    return V2LastKey(page).ToZValue().ToInteger();
+    return V2LastKey(page).ToInteger();
   }
   LeafView leaf(&page);
-  return leaf.Get(leaf.count() - 1).key.ToZValue().ToInteger();
+  return leaf.Get(leaf.count() - 1).key.ToInteger();
 }
 
 std::vector<BTree::LeafSummary> BTree::LeafSequence() {

@@ -37,7 +37,11 @@ enum class LeafFormat : uint8_t {
   kV2,  ///< shared-prefix + suffix-varint compression (leaf_codec.h)
 };
 
-/// Tree shape parameters.
+/// Tree shape parameters. The default is the v1 layout (the paper's
+/// experiments run on it, at leaf_capacity 20); Compressed() is what
+/// DurableIndex and ShardedEngine serve by default. A v2 leaf grows as
+/// cheaply as a v1 leaf: an insert that keeps the page's first key and
+/// shared prefix is written in place (V2InsertInPlace).
 struct BTreeConfig {
   /// Max entries per leaf page. Must be in [2, LeafView::kMaxCapacity - 1]
   /// for v1 leaves and [2, kV2MaxEntries - 1] for v2 (one slot of slack
@@ -321,7 +325,8 @@ class BTree {
   void InsertRec(storage::PageId page_id, const ZKey& key, uint64_t payload,
                  SplitResult* result);
 
-  // Insert into a v2 leaf: decode, insert, re-encode; splits against the
+  // Insert into a v2 leaf: in place when the page keeps its first key and
+  // shared prefix, else decode, insert, re-encode; splits against the
   // worst-case byte budget when the page no longer admits the set.
   void InsertLeafV2(storage::PageRef& ref, const ZKey& key, uint64_t payload,
                     SplitResult* result);

@@ -1,7 +1,9 @@
 #include "btree/leaf_codec.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 #include "probe/check.h"
 
@@ -37,6 +39,30 @@ size_t GetVarint(const uint8_t* data, size_t pos, size_t limit, uint64_t* v) {
   return pos;
 }
 
+/// Writes `entry` at `data[pos]` under a shared prefix of `prefix` bits;
+/// returns the position after it.
+size_t PutEntry(uint8_t* data, size_t pos, const LeafEntry& entry,
+                int prefix) {
+  assert(entry.key.len >= prefix);
+  data[pos++] = entry.key.len;
+  pos = PutVarint(data, pos, SuffixValue(entry.key, prefix));
+  return PutVarint(data, pos, entry.payload);
+}
+
+/// Reads the entry at `data[pos]` of a page whose shared prefix is
+/// `prefix` bits of `prefix_raw` into `*out`; returns the position after
+/// it. `limit` bounds the varint reads as in GetVarint.
+size_t GetEntry(const uint8_t* data, size_t pos, size_t limit, int prefix,
+                uint64_t prefix_raw, LeafEntry* out) {
+  out->key.len = data[pos++];
+  uint64_t suffix = 0;
+  pos = GetVarint(data, pos, limit, &suffix);
+  pos = GetVarint(data, pos, limit, &out->payload);
+  out->key.raw = prefix_raw;
+  if (out->key.len > prefix) out->key.raw |= suffix << (64 - out->key.len);
+  return pos;
+}
+
 uint64_t PrefixMask(int prefix_len) {
   if (prefix_len <= 0) return 0;
   if (prefix_len >= 64) return ~0ULL;
@@ -53,12 +79,9 @@ int CommonPrefixBits(const ZKey& a, const ZKey& b) {
 }
 
 size_t VarintLen(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  // One byte per started 7 bits (0 still takes a byte); admission and
+  // every in-place insert size entries with this, so no loop.
+  return static_cast<size_t>(std::bit_width(v | 1) + 6) / 7;
 }
 
 uint64_t SuffixValue(const ZKey& key, int prefix_len) {
@@ -126,38 +149,84 @@ size_t V2Encode(Page* page, std::span<const LeafEntry> entries,
 
   uint8_t* data = page->data();
   size_t pos = kV2EntriesOffset;
+  size_t worst = kV2EntriesOffset;
   for (const LeafEntry& e : entries) {
-    assert(e.key.len >= prefix);
-    data[pos++] = e.key.len;
-    pos = PutVarint(data, pos, SuffixValue(e.key, prefix));
-    pos = PutVarint(data, pos, e.payload);
+    pos = PutEntry(data, pos, e, prefix);
+    worst += V2EntryWorstSize(e);
   }
   page->Write<uint16_t>(kV2UsedOffset, static_cast<uint16_t>(pos));
+  page->Write<uint16_t>(kV2WorstOffset, static_cast<uint16_t>(worst));
   return pos;
 }
 
-int V2Decode(const Page& page, std::vector<LeafEntry>* out) {
+bool V2InsertInPlace(Page* page, const LeafEntry& entry, int max_count) {
+  assert(page->Read<uint8_t>(kKindOffset) == kLeafV2Kind);
+  const int count = page->Read<uint16_t>(kCountOffset);
+  const size_t worst =
+      page->Read<uint16_t>(kV2WorstOffset) + V2EntryWorstSize(entry);
+  if (count == 0 || count >= std::min(max_count, kV2MaxEntries) ||
+      worst > Page::kSize) {
+    return false;
+  }
+  // The encoder's prefix is CommonPrefixBits(first, last). A key below
+  // the first would replace it; one past the last replaces the last and
+  // must share the prefix with the first; one in between changes neither.
+  const int prefix = page->Read<uint8_t>(kV2PrefixLenOffset);
+  const ZKey first = V2FirstKey(*page);
+  if (entry.key < first) return false;
+  const bool append = V2LastKey(*page) < entry.key;
+  if (append && CommonPrefixBits(first, entry.key) != prefix) return false;
+
+  uint8_t* data = page->data();
+  const size_t used = page->Read<uint16_t>(kV2UsedOffset);
+  size_t pos = used;
+  if (!append) {
+    // The slot InsertLeafV2's decode path picks: the first entry above
+    // the key, or equal to it with a payload not below the new one.
+    const uint64_t prefix_raw = page->Read<uint64_t>(kV2PrefixOffset);
+    pos = kV2EntriesOffset;
+    for (int i = 0; i < count; ++i) {
+      LeafEntry e;
+      const size_t next = GetEntry(data, pos, used, prefix, prefix_raw, &e);
+      if (entry.key < e.key ||
+          (e.key == entry.key && e.payload >= entry.payload)) {
+        break;
+      }
+      pos = next;
+    }
+  }
+  // The actual encoding never outgrows the worst case, which fits.
+  const size_t size = V2EntryEncodedSize(entry, prefix);
+  assert(used + size <= Page::kSize);
+  std::memmove(data + pos + size, data + pos, used - pos);
+  PutEntry(data, pos, entry, prefix);
+  page->Write<uint16_t>(kCountOffset, static_cast<uint16_t>(count + 1));
+  page->Write<uint16_t>(kV2UsedOffset, static_cast<uint16_t>(used + size));
+  page->Write<uint16_t>(kV2WorstOffset, static_cast<uint16_t>(worst));
+  if (append) {
+    page->Write<uint8_t>(kV2LastLenOffset, entry.key.len);
+    page->Write<uint64_t>(kV2LastRawOffset, entry.key.raw);
+  }
+  return true;
+}
+
+int V2Decode(const Page& page, std::vector<LeafEntry>* out,
+             std::vector<uint64_t>* z_out) {
   assert(page.Read<uint8_t>(kKindOffset) == kLeafV2Kind);
   const int count = page.Read<uint16_t>(kCountOffset);
   const size_t used = page.Read<uint16_t>(kV2UsedOffset);
   const int prefix = page.Read<uint8_t>(kV2PrefixLenOffset);
   const uint64_t prefix_raw = page.Read<uint64_t>(kV2PrefixOffset);
 
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
+  out->resize(static_cast<size_t>(count));
+  if (z_out != nullptr) z_out->resize(static_cast<size_t>(count));
   const uint8_t* data = page.data();
   size_t pos = kV2EntriesOffset;
   for (int i = 0; i < count; ++i) {
     PROBE_ASSERT_MSG(pos < used, "v2 leaf decode ran past used bytes");
-    LeafEntry e;
-    e.key.len = data[pos++];
-    uint64_t suffix = 0;
-    pos = GetVarint(data, pos, used, &suffix);
-    pos = GetVarint(data, pos, used, &e.payload);
-    const int suffix_bits = e.key.len - prefix;
-    e.key.raw = prefix_raw;
-    if (suffix_bits > 0) e.key.raw |= suffix << (64 - e.key.len);
-    out->push_back(e);
+    LeafEntry& e = (*out)[static_cast<size_t>(i)];
+    pos = GetEntry(data, pos, used, prefix, prefix_raw, &e);
+    if (z_out != nullptr) (*z_out)[static_cast<size_t>(i)] = e.key.ToInteger();
   }
   PROBE_ASSERT_MSG(pos == used, "v2 leaf used-bytes header inconsistent");
   return count;
@@ -165,18 +234,11 @@ int V2Decode(const Page& page, std::vector<LeafEntry>* out) {
 
 ZKey V2FirstKey(const Page& page) {
   assert(page.Read<uint16_t>(kCountOffset) > 0);
-  const int prefix = page.Read<uint8_t>(kV2PrefixLenOffset);
-  const uint64_t prefix_raw = page.Read<uint64_t>(kV2PrefixOffset);
-  const uint8_t* data = page.data();
-  size_t pos = kV2EntriesOffset;
-  ZKey key;
-  key.len = data[pos++];
-  uint64_t suffix = 0;
-  GetVarint(data, pos, page.Read<uint16_t>(kV2UsedOffset), &suffix);
-  const int suffix_bits = key.len - prefix;
-  key.raw = prefix_raw;
-  if (suffix_bits > 0) key.raw |= suffix << (64 - key.len);
-  return key;
+  LeafEntry e;
+  GetEntry(page.data(), kV2EntriesOffset, page.Read<uint16_t>(kV2UsedOffset),
+           page.Read<uint8_t>(kV2PrefixLenOffset),
+           page.Read<uint64_t>(kV2PrefixOffset), &e);
+  return e.key;
 }
 
 ZKey V2LastKey(const Page& page) {

@@ -35,21 +35,28 @@
 ///     11      last key length in bits (uint8)
 ///     12..19  shared prefix, left-justified (uint64)
 ///     20..27  last key raw, left-justified (uint64)
-///     28..    encoded entries
+///     28..29  worst-case bytes (uint16; V2WorstSize of the entries)
+///     30..    encoded entries
 ///
 /// The last key is duplicated in the header so a reader can decide "does
 /// this whole leaf precede z?" without decoding any entry — the aggregate
 /// pushdown counts interior leaves from the header alone.
 ///
-/// v2 pages are mutated by decode -> edit -> re-encode. Admission is
-/// deliberately *worst-case*: a page accepts entries while the sum of
-/// their prefix-independent upper bounds (V2EntryWorstSize, i.e. the size
-/// under an empty shared prefix) fits the page. The actual encoding is
-/// never larger, and — unlike the actual size — the worst-case sum is
-/// subset-additive, so any rebalancing subset of one or two admitted
-/// pages is itself admissible. Without this, inserting a key that
-/// collapses the shared prefix could widen every suffix at once and leave
-/// no single split point where both halves fit.
+/// Admission is deliberately *worst-case*: a page accepts entries while
+/// the sum of their prefix-independent upper bounds (V2EntryWorstSize,
+/// i.e. the size under an empty shared prefix) fits the page. The actual
+/// encoding is never larger, and — unlike the actual size — the
+/// worst-case sum is subset-additive, so any rebalancing subset of one or
+/// two admitted pages is itself admissible. Without this, inserting a key
+/// that collapses the shared prefix could widen every suffix at once and
+/// leave no single split point where both halves fit. The header keeps
+/// that sum, so admitting one more entry costs O(1).
+///
+/// An insert that keeps the page's first key and shared prefix is written
+/// in place (V2InsertInPlace): the entry's bytes go at its slot and the
+/// tail shifts right, as LeafView::InsertAt does for v1. Every other
+/// mutation — a key below the first, a prefix collapse, a split, a delete
+/// — decodes, edits and re-encodes. Both paths write the same bytes.
 
 namespace probe::btree {
 
@@ -59,7 +66,8 @@ inline constexpr size_t kV2PrefixLenOffset = 10;
 inline constexpr size_t kV2LastLenOffset = 11;
 inline constexpr size_t kV2PrefixOffset = 12;
 inline constexpr size_t kV2LastRawOffset = 20;
-inline constexpr size_t kV2EntriesOffset = 28;
+inline constexpr size_t kV2WorstOffset = 28;
+inline constexpr size_t kV2EntriesOffset = 30;
 
 /// Hard cap on entries per v2 page: the smallest possible entry is 3
 /// bytes (len byte + 1-byte suffix varint + 1-byte payload varint).
@@ -107,9 +115,22 @@ bool V2Admits(std::span<const LeafEntry> entries);
 size_t V2Encode(storage::Page* page, std::span<const LeafEntry> entries,
                 storage::PageId next_leaf);
 
-/// Decodes all entries of a v2 page into `out` (cleared first). Returns
-/// the entry count.
-int V2Decode(const storage::Page& page, std::vector<LeafEntry>* out);
+/// Inserts `entry` into the v2 `page` in place when the result keeps the
+/// page's first key and shared prefix: the key sorts at or after the
+/// first key (duplicates ordered by payload) and, past the last key,
+/// still shares the prefix with the first. The count may reach at most
+/// `max_count` and the worst-case bytes at most the page. The page is
+/// then byte-identical to V2Encode of the decoded entries plus `entry`:
+/// first and last key fix the prefix, so no other entry's bytes change.
+/// Returns false, leaving the page untouched, in every other case.
+bool V2InsertInPlace(storage::Page* page, const LeafEntry& entry,
+                     int max_count);
+
+/// Decodes all entries of a v2 page into `out` (resized to the count).
+/// When `z_out` is given it receives each key's ZKey::ToInteger in the
+/// same pass. Returns the entry count.
+int V2Decode(const storage::Page& page, std::vector<LeafEntry>* out,
+             std::vector<uint64_t>* z_out = nullptr);
 
 /// First key of a v2 page without a full decode. Requires count > 0.
 ZKey V2FirstKey(const storage::Page& page);

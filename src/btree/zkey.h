@@ -34,6 +34,10 @@ struct ZKey {
     return zorder::ZValue::FromRaw(raw, len);
   }
 
+  /// ToZValue().ToInteger() without the detour: the significant bits,
+  /// right-justified.
+  uint64_t ToInteger() const { return len == 0 ? 0 : raw >> (64 - len); }
+
   /// Lexicographic bitstring order (z order).
   friend std::strong_ordering operator<=>(const ZKey& a, const ZKey& b) {
     if (a.raw != b.raw) return a.raw <=> b.raw;

@@ -224,7 +224,7 @@ void ZkdIndex::SkipMerge::SeekElement() {
 
 bool ZkdIndex::SkipMerge::NextRun() {
   while (have_point_ && have_element_) {
-    const uint64_t pz = cursor_.entry().key.ToZValue().ToInteger();
+    const uint64_t pz = cursor_.entry().key.ToInteger();
     if (pz > zhi_) {
       // P ran past the element: advance B (skip: to the first element
       // that ends at or after pz).
@@ -458,7 +458,7 @@ std::vector<uint64_t> ZkdIndex::BigMinPartition(uint64_t zmin, uint64_t zmax,
   check::ZMonotone scan_order(/*strict=*/false);
   bool have_point = cursor.Seek(IntegerKey(grid_, from));
   while (have_point) {
-    const uint64_t pz = cursor.entry().key.ToZValue().ToInteger();
+    const uint64_t pz = cursor.entry().key.ToInteger();
     if (pz > upto) break;
     PROBE_AUDIT(scan_order.Observe(pz, "BIGMIN point scan"));
     ++part.points_scanned;

@@ -225,8 +225,13 @@ bool Wal::LeaderSyncLocked() {
   const int fd = fd_;
   mu_.Unlock();
   util::SchedulePoint("wal.fsync");
-  ::fsync(fd);
+  const bool synced = ::fsync(fd) == 0;
   mu_.Lock();
+  if (!synced || stats_.syncs >= fault_.fail_after_syncs) {
+    sync_active_ = false;
+    MarkDeadLocked();
+    return false;
+  }
   if (durable_lsn_ < target) durable_lsn_ = target;
   ++stats_.syncs;
   if (group > 0) {

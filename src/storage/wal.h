@@ -72,7 +72,9 @@
 /// appended successfully; whether they are durable is still governed by
 /// which syncs completed), then up to tear_bytes of the victim, so the
 /// on-disk picture is byte-identical to the pre-buffering design. Tests
-/// then reopen from the files alone.
+/// then reopen from the files alone. The plan can instead fail the Nth
+/// fsync: a log whose fsync fails is fail-stop — it goes dead and acks
+/// nothing the failed sync was to cover, as it would on a real EIO.
 
 namespace probe::storage {
 
@@ -98,6 +100,12 @@ struct WalFaultPlan {
   /// Values >= the record size are clamped to leave at least one byte
   /// missing, so the victim is always incomplete.
   uint64_t tear_bytes = 0;
+
+  /// Log fsyncs (WalStats::syncs) that succeed before the next
+  /// GroupCommit/Sync fsync reports failure, as an EIO from ::fsync
+  /// would; the log then goes dead with nothing past the last good sync
+  /// acknowledged. ~0 = never.
+  uint64_t fail_after_syncs = ~0ull;
 };
 
 /// One decoded record, as recovery sees it.
@@ -229,7 +237,9 @@ class Wal {
   // One leader turn: flush the buffer, fsync outside the lock, advance
   // durable_lsn_, account the commit group. Requires sync_active_ to have
   // been claimed by the caller; clears it and notifies before returning.
-  // Returns false on a dead log.
+  // Returns false on a dead log. A failed fsync kills the log and leaves
+  // durable_lsn_ where it was: after an fsync error the kernel may have
+  // dropped the dirty pages, so no later fsync can vouch for them.
   bool LeaderSyncLocked() PROBE_REQUIRES(mu_);
 
   void MarkDeadLocked() PROBE_REQUIRES(mu_);

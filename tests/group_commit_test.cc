@@ -267,6 +267,37 @@ TEST(GroupCommitTest, ConcurrentAppliesShareFsyncs) {
   EXPECT_EQ(db.index().size(), static_cast<uint64_t>(kThreads * 4));
 }
 
+TEST(GroupCommitTest, FailedFsyncFailsStop) {
+  testutil::TempFile tmp("group_commit_fsync_fails");
+  DurableIndex::Options options;
+  options.truncate = true;
+  DurableIndex db(kGrid, tmp.path(), options);
+  ASSERT_TRUE(db.ok());
+
+  const std::vector<Op> good = {Op::Insert(GridPoint({1, 1}), 1)};
+  uint64_t good_epoch = 0;
+  ASSERT_TRUE(db.Apply(good, &good_epoch));
+  Wal& wal = db.wal();
+  const uint64_t durable = wal.durable_lsn();
+
+  // The next fsync fails, as it would on EIO: the batch it was to cover
+  // must not be acknowledged, published or counted durable.
+  wal.SetFaultPlan({.fail_after_syncs = wal.stats().syncs});
+  const std::vector<Op> bad = {Op::Insert(GridPoint({2, 2}), 2)};
+  EXPECT_FALSE(db.Apply(bad));
+  EXPECT_TRUE(wal.dead());
+  EXPECT_EQ(wal.durable_lsn(), durable);
+  EXPECT_EQ(db.published_epoch(), good_epoch);
+  EXPECT_EQ(db.published_size(), 1u);
+  EXPECT_EQ(db.CreateSnapshot().epoch(), good_epoch);
+
+  // Fail-stop: no later batch or sync succeeds either.
+  EXPECT_FALSE(db.Insert(GridPoint({3, 3}), 3));
+  EXPECT_FALSE(wal.Sync());
+  EXPECT_EQ(wal.durable_lsn(), durable);
+  EXPECT_EQ(db.published_epoch(), good_epoch);
+}
+
 TEST(GroupCommitTest, SnapshotIsIsolatedFromLaterCommits) {
   testutil::TempFile tmp("group_commit_snapshot");
   DurableIndex::Options options;

@@ -39,6 +39,11 @@ TEST(LeafCodecTest, VarintLenBoundaries) {
   EXPECT_EQ(VarintLen(0x3fff), 2u);
   EXPECT_EQ(VarintLen(0x4000), 3u);
   EXPECT_EQ(VarintLen(~0ULL), 10u);
+  for (size_t k = 1; k <= 9; ++k) {
+    const uint64_t edge = uint64_t{1} << (7 * k);
+    EXPECT_EQ(VarintLen(edge - 1), k) << k;
+    EXPECT_EQ(VarintLen(edge), k + 1) << k;
+  }
 }
 
 TEST(LeafCodecTest, CommonPrefixAndSuffix) {

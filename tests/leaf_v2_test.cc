@@ -156,8 +156,8 @@ TEST(LeafV2Test, WalRecoveredIndexIsIdentical) {
 
 TEST(LeafV2Test, MixedFormatTreeStaysCorrect) {
   // A v1-built image re-attached under the compressed config: old leaves
-  // keep their v1 tag, every page the insert path touches re-encodes as
-  // v2, and readers dispatch per page — queries never notice.
+  // keep their v1 tag through inserts and splits, and readers dispatch
+  // per page — queries never notice.
   const GridSpec grid{2, 8};
   const auto points = UniformPoints(grid, 4000, 99);
   storage::MemPager pager;

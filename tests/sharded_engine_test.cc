@@ -370,12 +370,15 @@ TEST(ShardedEngineTest, KillAndRecoverOneShardKeepsIdentity) {
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine.Apply(batch1));
 
-    // Arm the victim shard's WAL to tear a few records into the next
-    // batch's flush, then apply a batch that touches every shard.
+    // Arm the victim shard's WAL to tear the second record of the next
+    // batch, then apply a batch that touches every shard. Any batch that
+    // reaches a shard writes at least two records there (a page image and
+    // the commit), so the tear is certain to happen.
     auto& wal = engine.shard(victim).wal();
     wal.SetFaultPlan(
-        {.fail_after_records = wal.stats().records + 3, .tear_bytes = 257});
+        {.fail_after_records = wal.stats().records + 1, .tear_bytes = 257});
     EXPECT_FALSE(engine.Apply(batch2));
+    EXPECT_TRUE(wal.dead());
   }
 
   // Reopen: per-shard recovery truncates the victim's torn tail.
