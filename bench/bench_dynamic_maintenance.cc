@@ -93,7 +93,7 @@ int main() {
                   (20.0 * static_cast<double>(shape.leaf_pages)),
               MeanQueryPages(*rebuilt.index, grid, 105));
   std::printf(
-      "\nOccupancy settles at the B-tree steady state (~0.6) after the\n"
+      "\nOccupancy settles at the B-tree steady state (~0.66) after the\n"
       "first epoch and stays there; query cost tracks the occupancy ratio\n"
       "of the packed rebuild no matter how much churn has occurred: the\n"
       "graceful adaptation the paper asks of a multidimensional structure.\n");

@@ -1,17 +1,17 @@
-// Leaf-level raw-speed pass: compressed (v2) leaves, the SIMD in-page
-// filter, and aggregate pushdown, measured against the fixed-width v1
-// baseline.
+// Leaf-level raw-speed pass: compressed leaves, the SIMD in-page filter,
+// and aggregate pushdown.
 //
-// For each Section 5.3 distribution (U/C/D) the bench builds the same
-// point set into a v1 tree and a compressed v2 tree, then reports
-//   - keys per leaf page before/after (the compression win),
+// For each Section 5.3 distribution (U/C/D) the bench builds the point set
+// into a byte-packed tree, then reports
+//   - keys per leaf page (a page of 17-byte fixed-width entries holds 240),
 //   - leaf page accesses over a Section 5.3 range-query batch,
-//   - result identity: v2 serial and v2 parallel versus v1 serial,
-//   - COUNT(*) pushdown versus materializing the same boxes.
+//   - result identity: serial and parallel search versus a brute-force
+//     scan of the points,
+//   - COUNT(*) pushdown versus the same scan.
 // A separate kernel section times the in-page interval filter
 // (UpperBoundZ) with AVX2 dispatch against its forced-scalar fallback in
 // ns per row. Numbers land in BENCH_leaf.json (section "leaf") and gate
-// scripts/check.sh.
+// scripts/check.sh. Exits 1 on any result mismatch.
 //
 // Scale with: bench_leaf [points] [queries]
 
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "btree/btree.h"
-#include "btree/leaf_codec.h"
 #include "btree/simd_filter.h"
 #include "index/zkd_index.h"
 #include "storage/buffer_pool.h"
@@ -46,11 +45,8 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 struct DatasetResult {
   std::string name;
-  double v1_keys_per_page = 0.0;
-  double v2_keys_per_page = 0.0;
-  double gain = 0.0;
-  uint64_t v1_leaf_pages = 0;
-  uint64_t v2_leaf_pages = 0;
+  double keys_per_page = 0.0;
+  uint64_t leaf_pages = 0;
   uint64_t count_leaf_pages = 0;
   uint64_t contained_elements = 0;
   uint64_t materialized_rows = 0;
@@ -82,51 +78,46 @@ int main(int argc, char** argv) {
     data.seed = 600;
     const auto points = GeneratePoints(grid, data);
 
-    storage::MemPager v1_pager;
-    storage::BufferPool v1_pool(&v1_pager, 4096);
-    const auto v1 = index::ZkdIndex::Build(grid, &v1_pool, points);
-
-    storage::MemPager v2_pager;
-    storage::BufferPool v2_pool(&v2_pager, 4096);
-    const auto v2 = index::ZkdIndex::Build(grid, &v2_pool, points,
-                                           btree::BTreeConfig::Compressed());
+    storage::MemPager pager;
+    storage::BufferPool pool(&pager, 4096);
+    const auto index = index::ZkdIndex::Build(grid, &pool, points);
 
     DatasetResult r;
     r.name = workload::DistributionName(dist);
-    r.v1_keys_per_page = static_cast<double>(v1.size()) /
-                         static_cast<double>(v1.LeafPartitions().size());
-    r.v2_keys_per_page = static_cast<double>(v2.size()) /
-                         static_cast<double>(v2.LeafPartitions().size());
-    r.gain = r.v2_keys_per_page / r.v1_keys_per_page;
+    r.keys_per_page = static_cast<double>(index.size()) /
+                      static_cast<double>(index.LeafPartitions().size());
 
     // Section 5.3 query batch: page accesses and result identity.
     util::ThreadPool tp(3);
     r.identical = true;
     for (const auto& box : boxes) {
-      index::QueryStats v1_stats;
-      index::QueryStats v2_stats;
-      const auto expected = v1.RangeSearch(box, &v1_stats);
-      const auto got = v2.RangeSearch(box, &v2_stats);
-      const auto parallel = v2.ParallelRangeSearch(box, tp);
-      r.v1_leaf_pages += v1_stats.leaf_pages;
-      r.v2_leaf_pages += v2_stats.leaf_pages;
-      if (got != expected || parallel != expected) r.identical = false;
+      std::vector<uint64_t> expected;
+      for (const auto& rec : points) {
+        if (box.ContainsPoint(rec.point)) expected.push_back(rec.id);
+      }
+      std::sort(expected.begin(), expected.end());
+      index::QueryStats stats;
+      auto got = index.RangeSearch(box, &stats);
+      const auto parallel = index.ParallelRangeSearch(box, tp);
+      r.leaf_pages += stats.leaf_pages;
+      if (parallel != got) r.identical = false;
+      std::sort(got.begin(), got.end());
+      if (got != expected) r.identical = false;
 
       // Aggregate pushdown over the same box: same cardinality, no
       // materialized rows at full decomposition depth.
       index::QueryStats count_stats;
-      const uint64_t count = v2.CountBox(box, &count_stats);
+      const uint64_t count = index.CountBox(box, &count_stats);
       if (count != expected.size()) r.identical = false;
       r.count_leaf_pages += count_stats.leaf_pages;
       r.contained_elements += count_stats.contained_elements;
       r.materialized_rows += count_stats.materialized_rows;
     }
 
-    std::printf("dataset %-2s keys/page %6.1f -> %6.1f (%.2fx)  "
-                "leaf pages %6llu -> %6llu  count pages %6llu  %s\n",
-                r.name.c_str(), r.v1_keys_per_page, r.v2_keys_per_page, r.gain,
-                static_cast<unsigned long long>(r.v1_leaf_pages),
-                static_cast<unsigned long long>(r.v2_leaf_pages),
+    std::printf("dataset %-2s keys/page %6.1f  leaf pages %6llu  "
+                "count pages %6llu  %s\n",
+                r.name.c_str(), r.keys_per_page,
+                static_cast<unsigned long long>(r.leaf_pages),
                 static_cast<unsigned long long>(r.count_leaf_pages),
                 r.identical ? "results identical" : "RESULT MISMATCH");
     std::printf("           count pushdown: %llu contained elements, "
@@ -178,13 +169,8 @@ int main(int argc, char** argv) {
   for (const auto& r : datasets) {
     if (datasets_json.size() > 1) datasets_json += ",";
     datasets_json += "{\"name\":\"" + r.name + "\"" +
-                     ",\"v1_keys_per_page\":" +
-                     std::to_string(r.v1_keys_per_page) +
-                     ",\"v2_keys_per_page\":" +
-                     std::to_string(r.v2_keys_per_page) +
-                     ",\"keys_per_page_gain\":" + std::to_string(r.gain) +
-                     ",\"v1_leaf_pages\":" + std::to_string(r.v1_leaf_pages) +
-                     ",\"v2_leaf_pages\":" + std::to_string(r.v2_leaf_pages) +
+                     ",\"keys_per_page\":" + std::to_string(r.keys_per_page) +
+                     ",\"leaf_pages\":" + std::to_string(r.leaf_pages) +
                      ",\"count_leaf_pages\":" +
                      std::to_string(r.count_leaf_pages) +
                      ",\"contained_elements\":" +

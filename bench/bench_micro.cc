@@ -182,34 +182,10 @@ void BM_BTreeSeek(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeSeek);
 
-void BM_LeafViewGetSet(benchmark::State& state) {
-  // The fixed-width entry accessors — one memcpy each way after the
-  // switch from field-at-a-time reads; the scan and split paths hit
-  // these for every v1 entry they touch.
-  storage::Page page;
-  btree::LeafView leaf(&page);
-  leaf.Init();
-  util::Rng rng(6);
-  for (int i = 0; i < btree::LeafView::kMaxCapacity; ++i) {
-    leaf.Set(i, {btree::ZKey::FromZValue(
-                     zorder::ZValue::FromInteger(rng.Next(), 32)),
-                 static_cast<uint64_t>(i)});
-  }
-  leaf.set_count(btree::LeafView::kMaxCapacity);
-  int i = 0;
-  for (auto _ : state) {
-    const btree::LeafEntry entry = leaf.Get(i);
-    benchmark::DoNotOptimize(entry);
-    leaf.Set((i + 97) % btree::LeafView::kMaxCapacity, entry);
-    i = (i + 1) % btree::LeafView::kMaxCapacity;
-  }
-}
-BENCHMARK(BM_LeafViewGetSet);
-
 void BM_V2EncodeDecode(benchmark::State& state) {
-  // Codec round trip for a near-full compressed leaf; the per-entry cost
-  // bounds what v2 mutation (decode -> edit -> re-encode) pays over v1's
-  // in-place memmove.
+  // Codec round trip for a near-full compressed leaf: the per-entry cost
+  // of a mutation that cannot be written in place (decode -> edit ->
+  // re-encode).
   util::Rng rng(7);
   std::vector<btree::LeafEntry> entries;
   uint64_t z = rng.NextBelow(1 << 20);

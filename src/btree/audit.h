@@ -12,19 +12,15 @@
 
 namespace probe::btree {
 
-/// Keys non-decreasing (duplicates allowed), count within [min_count,
-/// max_count]. Pass min_count 0 for pages allowed to underflow (the root,
-/// or a page mid-rebalance).
-void AuditLeafPage(const LeafView& leaf, int min_count, int max_count);
-
 /// Separators non-decreasing (prefix-truncated separators of a duplicate
 /// run may repeat), pair count within [min_count, max_count], all child
 /// ids valid.
 void AuditInternalPage(const InternalView& node, int min_count,
                        int max_count);
 
-/// Compressed-leaf (v2) audit: kind tag, count within [min_count,
-/// max_count], every decoded key extends the stored shared prefix, keys
+/// Leaf audit: kind tag, count within [min_count, max_count] (pass
+/// min_count 0 for pages allowed to underflow: the root, or a page
+/// mid-rebalance), every decoded key extends the stored shared prefix, keys
 /// in z order, decoded count == header count (V2Decode itself verifies
 /// the used-bytes accounting), the header's last key equal to the last
 /// decoded key, and the header's worst-case bytes equal to V2WorstSize of

@@ -15,21 +15,14 @@ namespace {
 using storage::PageId;
 using storage::PageRef;
 
-uint8_t KindOf(const storage::Page& page) {
-  return page.Read<uint8_t>(kKindOffset);
-}
-
-/// Decodes every entry of either leaf layout into `out`.
-void DecodeLeafAny(storage::Page& page, std::vector<LeafEntry>* out) {
-  if (KindOf(page) == kLeafV2Kind) {
-    V2Decode(page, out);
-    return;
-  }
-  LeafView leaf(&page);
-  const int n = leaf.count();
-  out->clear();
-  out->reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) out->push_back(leaf.Get(i));
+/// True for a leaf, false for an internal node. A tree holds no other
+/// kind; a page of any other kind (such as a fixed-width leaf of an older
+/// file, kind 0) would otherwise be descended as an internal node.
+bool IsLeafPage(const storage::Page& page) {
+  const uint8_t kind = page.Read<uint8_t>(kKindOffset);
+  PROBE_ASSERT_MSG(kind == kInternalKind || IsLeafKind(kind),
+                   "page is neither an internal node nor a leaf");
+  return IsLeafKind(kind);
 }
 
 /// Picks a split index in [1, n-1] whose halves both satisfy the v2
@@ -77,20 +70,12 @@ int PickV2Split(const std::vector<LeafEntry>& entries, int preferred,
 
 BTree::BTree(storage::BufferPool* pool, const BTreeConfig& config)
     : pool_(pool), config_(config), height_(1) {
-  const int leaf_max = config_.leaf_format == LeafFormat::kV2
-                           ? kV2MaxEntries - 1
-                           : LeafView::kMaxCapacity - 1;
-  (void)leaf_max;
-  assert(config_.leaf_capacity >= 2 && config_.leaf_capacity <= leaf_max);
+  assert(config_.leaf_capacity >= 2 &&
+         config_.leaf_capacity <= kV2MaxEntries - 1);
   assert(config_.internal_capacity >= 2 &&
          config_.internal_capacity <= InternalView::kMaxCapacity - 1);
   PageRef ref = pool_->New(&root_);
-  if (config_.leaf_format == LeafFormat::kV2) {
-    V2Encode(&ref.page(), {}, storage::kInvalidPageId);
-  } else {
-    LeafView leaf(&ref.page());
-    leaf.Init();
-  }
+  V2Encode(&ref.page(), {}, storage::kInvalidPageId);
   ref.MarkDirty();
 }
 
@@ -114,65 +99,8 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
                       SplitResult* result) {
   result->split = false;
   PageRef ref = pool_->Fetch(page_id);
-  const uint8_t kind = KindOf(ref.page());
-  if (kind == kLeafV2Kind) {
-    InsertLeafV2(ref, key, payload, result);
-    return;
-  }
-  if (kind == kLeafKind) {
-    LeafView leaf(&ref.page());
-    // Lower bound by key, then order duplicates by payload so the layout
-    // is independent of insertion order.
-    int idx = leaf.LowerBound(key);
-    while (idx < leaf.count() && leaf.Get(idx).key == key &&
-           leaf.Get(idx).payload < payload) {
-      ++idx;
-    }
-    leaf.InsertAt(idx, LeafEntry{key, payload});
-    ref.MarkDirty();
-    if (leaf.count() <= V1LeafCap()) {
-      PROBE_AUDIT(AuditLeafPage(leaf, 1, V1LeafCap()));
-      return;
-    }
-
-    // Overflow: split. Prefer a split point that does not divide a run of
-    // equal keys, so prefix separators stay strict where possible.
-    const int n = leaf.count();
-    int split = n / 2;
-    auto distinct_at = [&](int j) {
-      return j > 0 && j < n && leaf.Get(j - 1).key < leaf.Get(j).key;
-    };
-    if (!distinct_at(split)) {
-      for (int delta = 1; delta < n; ++delta) {
-        if (distinct_at(split - delta)) {
-          split -= delta;
-          break;
-        }
-        if (distinct_at(split + delta)) {
-          split += delta;
-          break;
-        }
-      }
-    }
-    PageId right_id;
-    PageRef right_ref = pool_->New(&right_id);
-    LeafView right(&right_ref.page());
-    right.Init();
-    for (int i = split; i < n; ++i) {
-      right.Set(i - split, leaf.Get(i));
-    }
-    right.set_count(n - split);
-    leaf.set_count(split);
-    right.set_next_leaf(leaf.next_leaf());
-    leaf.set_next_leaf(right_id);
-    right_ref.MarkDirty();
-    result->split = true;
-    result->separator =
-        PrefixSeparator(leaf.Get(split - 1).key, right.Get(0).key);
-    result->new_page = right_id;
-    // Both halves of a split must hold sorted keys and at least one entry.
-    PROBE_AUDIT(AuditLeafPage(leaf, 1, V1LeafCap()));
-    PROBE_AUDIT(AuditLeafPage(right, 1, V1LeafCap()));
+  if (IsLeafPage(ref.page())) {
+    InsertLeaf(ref, key, payload, result);
     return;
   }
 
@@ -208,12 +136,12 @@ void BTree::InsertRec(PageId page_id, const ZKey& key, uint64_t payload,
   PROBE_AUDIT(AuditInternalPage(right, 1, config_.internal_capacity));
 }
 
-void BTree::InsertLeafV2(PageRef& ref, const ZKey& key, uint64_t payload,
-                         SplitResult* result) {
+void BTree::InsertLeaf(PageRef& ref, const ZKey& key, uint64_t payload,
+                       SplitResult* result) {
   // Admission is the worst-case byte budget plus the configured count
   // cap. An insert that keeps the page's first key and shared prefix is
   // written in place; the rest decode -> edit -> re-encode (or split).
-  const int cap = V2LeafCap();
+  const int cap = config_.leaf_capacity;
   if (V2InsertInPlace(&ref.page(), LeafEntry{key, payload}, cap)) {
     ref.MarkDirty();
     PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, cap));
@@ -261,7 +189,7 @@ bool BTree::Delete(const ZKey& key, uint64_t payload) {
   // Shrink the root when an internal root lost its last separator.
   for (;;) {
     PageRef ref = pool_->Fetch(root_);
-    if (IsLeafKind(KindOf(ref.page()))) break;
+    if (IsLeafPage(ref.page())) break;
     InternalView node(&ref.page());
     if (node.count() > 0) break;
     const PageId only_child = node.child0();
@@ -276,8 +204,7 @@ bool BTree::DeleteRec(PageId page_id, const ZKey& key, uint64_t payload,
                       bool* underflow) {
   *underflow = false;
   PageRef ref = pool_->Fetch(page_id);
-  const uint8_t kind = KindOf(ref.page());
-  if (kind == kLeafV2Kind) {
+  if (IsLeafPage(ref.page())) {
     std::vector<LeafEntry> entries;
     V2Decode(ref.page(), &entries);
     auto it = std::lower_bound(
@@ -289,26 +216,15 @@ bool BTree::DeleteRec(PageId page_id, const ZKey& key, uint64_t payload,
         entries.erase(it);
         const size_t used = V2Encode(&ref.page(), entries, next);
         ref.MarkDirty();
-        // v2 occupancy is byte-driven, so underflow is too: rebalance
-        // when the page falls under a quarter of its byte budget.
-        *underflow = page_id != root_ && used < storage::Page::kSize / 4;
-        PROBE_AUDIT(AuditLeafV2Page(ref.page(), 0, V2LeafCap()));
-        return true;
-      }
-    }
-    return false;
-  }
-  if (kind == kLeafKind) {
-    LeafView leaf(&ref.page());
-    for (int i = leaf.LowerBound(key);
-         i < leaf.count() && leaf.Get(i).key == key; ++i) {
-      if (leaf.Get(i).payload == payload) {
-        leaf.RemoveAt(i);
-        ref.MarkDirty();
-        *underflow = page_id != root_ && leaf.count() < MinLeafCount();
-        // Order must survive removal; occupancy is the parent's problem
-        // (it rebalances on *underflow).
-        PROBE_AUDIT(AuditLeafPage(leaf, 0, V1LeafCap()));
+        // A leaf underflows when it is short on both bytes and entries:
+        // under a quarter of the page and under half the capacity. At the
+        // byte-driven default the count never binds (a page under a
+        // quarter full holds at most 331 entries); at a small configured
+        // capacity, such as the paper's 20, the bytes never do.
+        *underflow = page_id != root_ && used < storage::Page::kSize / 4 &&
+                     static_cast<int>(entries.size()) <
+                         config_.leaf_capacity / 2;
+        PROBE_AUDIT(AuditLeafV2Page(ref.page(), 0, config_.leaf_capacity));
         return true;
       }
     }
@@ -336,83 +252,44 @@ bool BTree::DeleteRec(PageId page_id, const ZKey& key, uint64_t payload,
 }
 
 void BTree::FixUnderflow(InternalView& parent, int child_idx) {
-  // Prefer borrowing from a sibling; merge when both are at minimum.
   const PageId child_id = parent.ChildAt(child_idx);
   PageRef child_ref = pool_->Fetch(child_id);
-  const bool child_is_leaf = IsLeafKind(KindOf(child_ref.page()));
-
-  // A v2 page anywhere among the rebalancing candidates routes to the
-  // decode/re-encode path (the in-place moves below assume v1 layout).
-  if (child_is_leaf) {
-    bool any_v2 = KindOf(child_ref.page()) == kLeafV2Kind;
-    for (int dir = -1; dir <= 1 && !any_v2; dir += 2) {
-      const int sib_idx = child_idx + dir;
-      if (sib_idx < 0 || sib_idx > parent.count()) continue;
-      PageRef sib_ref = pool_->Fetch(parent.ChildAt(sib_idx));
-      any_v2 = KindOf(sib_ref.page()) == kLeafV2Kind;
-    }
-    if (any_v2) {
-      child_ref.Release();
-      FixLeafUnderflowV2(parent, child_idx);
-      return;
-    }
+  if (IsLeafPage(child_ref.page())) {
+    child_ref.Release();
+    FixLeafUnderflow(parent, child_idx);
+    return;
   }
 
-  auto leaf_count = [&](PageRef& r) { return LeafView(&r.page()).count(); };
-  auto internal_count = [&](PageRef& r) {
-    return InternalView(&r.page()).count();
-  };
-
+  // Prefer borrowing from a sibling; merge when both are at minimum.
   // Try left sibling first, then right.
+  InternalView child(&child_ref.page());
   for (int dir = -1; dir <= 1; dir += 2) {
     const int sib_idx = child_idx + dir;
     if (sib_idx < 0 || sib_idx > parent.count()) continue;
     PageRef sib_ref = pool_->Fetch(parent.ChildAt(sib_idx));
-    const int sib_count = child_is_leaf ? leaf_count(sib_ref)
-                                        : internal_count(sib_ref);
-    const int min_count = child_is_leaf ? MinLeafCount() : MinInternalCount();
-    if (sib_count <= min_count) continue;
+    InternalView sib(&sib_ref.page());
+    if (sib.count() <= MinInternalCount()) continue;
 
-    // Borrow one entry/pair across the parent separator.
+    // Borrow one pair across the parent separator.
     const int sep_idx = dir < 0 ? child_idx - 1 : child_idx;
-    if (child_is_leaf) {
-      LeafView child(&child_ref.page());
-      LeafView sib(&sib_ref.page());
-      if (dir < 0) {
-        const LeafEntry moved = sib.Get(sib.count() - 1);
-        sib.RemoveAt(sib.count() - 1);
-        child.InsertAt(0, moved);
-        parent.SetSeparator(
-            sep_idx, PrefixSeparator(sib.Get(sib.count() - 1).key, moved.key));
-      } else {
-        const LeafEntry moved = sib.Get(0);
-        sib.RemoveAt(0);
-        child.InsertAt(child.count(), moved);
-        parent.SetSeparator(sep_idx,
-                            PrefixSeparator(moved.key, sib.Get(0).key));
-      }
+    const ZKey parent_sep = parent.SeparatorAt(sep_idx);
+    if (dir < 0) {
+      // Rotate right: sibling's last child becomes child's new child0.
+      const int last = sib.count() - 1;
+      const ZKey up = sib.SeparatorAt(last);
+      const PageId moved_child = sib.ChildAt(last + 1);
+      sib.RemovePairAt(last);
+      child.InsertPairAt(0, parent_sep, child.child0());
+      child.set_child0(moved_child);
+      parent.SetSeparator(sep_idx, up);
     } else {
-      InternalView child(&child_ref.page());
-      InternalView sib(&sib_ref.page());
-      const ZKey parent_sep = parent.SeparatorAt(sep_idx);
-      if (dir < 0) {
-        // Rotate right: sibling's last child becomes child's new child0.
-        const int last = sib.count() - 1;
-        const ZKey up = sib.SeparatorAt(last);
-        const PageId moved_child = sib.ChildAt(last + 1);
-        sib.RemovePairAt(last);
-        child.InsertPairAt(0, parent_sep, child.child0());
-        child.set_child0(moved_child);
-        parent.SetSeparator(sep_idx, up);
-      } else {
-        // Rotate left: sibling's child0 appends to child.
-        const ZKey up = sib.SeparatorAt(0);
-        const PageId moved_child = sib.child0();
-        child.InsertPairAt(child.count(), parent_sep, moved_child);
-        sib.set_child0(sib.ChildAt(1));
-        sib.RemovePairAt(0);
-        parent.SetSeparator(sep_idx, up);
-      }
+      // Rotate left: sibling's child0 appends to child.
+      const ZKey up = sib.SeparatorAt(0);
+      const PageId moved_child = sib.child0();
+      child.InsertPairAt(child.count(), parent_sep, moved_child);
+      sib.set_child0(sib.ChildAt(1));
+      sib.RemovePairAt(0);
+      parent.SetSeparator(sep_idx, up);
     }
     child_ref.MarkDirty();
     sib_ref.MarkDirty();
@@ -426,23 +303,14 @@ void BTree::FixUnderflow(InternalView& parent, int child_idx) {
   assert(right_idx <= parent.count());
   PageRef left_ref = pool_->Fetch(parent.ChildAt(left_idx));
   PageRef right_ref = pool_->Fetch(parent.ChildAt(right_idx));
-  if (child_is_leaf) {
-    LeafView left(&left_ref.page());
-    LeafView right(&right_ref.page());
-    const int base = left.count();
-    for (int i = 0; i < right.count(); ++i) left.Set(base + i, right.Get(i));
-    left.set_count(base + right.count());
-    left.set_next_leaf(right.next_leaf());
-  } else {
-    InternalView left(&left_ref.page());
-    InternalView right(&right_ref.page());
-    const ZKey parent_sep = parent.SeparatorAt(left_idx);
-    left.InsertPairAt(left.count(), parent_sep, right.child0());
-    const int moved = right.count();
-    for (int i = 0; i < moved; ++i) {
-      left.InsertPairAt(left.count(), right.SeparatorAt(i),
-                        right.ChildAt(i + 1));
-    }
+  InternalView left(&left_ref.page());
+  InternalView right(&right_ref.page());
+  const ZKey parent_sep = parent.SeparatorAt(left_idx);
+  left.InsertPairAt(left.count(), parent_sep, right.child0());
+  const int moved = right.count();
+  for (int i = 0; i < moved; ++i) {
+    left.InsertPairAt(left.count(), right.SeparatorAt(i),
+                      right.ChildAt(i + 1));
   }
   left_ref.MarkDirty();
   parent.RemovePairAt(left_idx);
@@ -450,11 +318,9 @@ void BTree::FixUnderflow(InternalView& parent, int child_idx) {
   // list, so it is simply abandoned.
 }
 
-void BTree::FixLeafUnderflowV2(InternalView& parent, int child_idx) {
+void BTree::FixLeafUnderflow(InternalView& parent, int child_idx) {
   // Merge-or-redistribute with the left neighbor when one exists, else
-  // the right; redistribution generalizes v1's one-entry borrow. The
-  // merged result is re-encoded as v2 (readers dispatch per page, so a
-  // v1 partner flipping to v2 is fine).
+  // the right.
   const int left_idx = child_idx > 0 ? child_idx - 1 : child_idx;
   const int right_idx = left_idx + 1;
   assert(right_idx <= parent.count());
@@ -462,18 +328,19 @@ void BTree::FixLeafUnderflowV2(InternalView& parent, int child_idx) {
   PageRef right_ref = pool_->Fetch(parent.ChildAt(right_idx));
   std::vector<LeafEntry> combined;
   std::vector<LeafEntry> right_entries;
-  DecodeLeafAny(left_ref.page(), &combined);
-  DecodeLeafAny(right_ref.page(), &right_entries);
+  V2Decode(left_ref.page(), &combined);
+  V2Decode(right_ref.page(), &right_entries);
   combined.insert(combined.end(), right_entries.begin(), right_entries.end());
   const PageId tail = right_ref.page().Read<PageId>(kNextLeafOffset);
 
-  const int cap = V2LeafCap();
+  const int cap = config_.leaf_capacity;
   if (static_cast<int>(combined.size()) <= cap && V2Admits(combined)) {
     V2Encode(&left_ref.page(), combined, tail);
     left_ref.MarkDirty();
     parent.RemovePairAt(left_idx);
     PROBE_AUDIT(AuditLeafV2Page(left_ref.page(), 1, cap));
-    // The right page is abandoned, as in the v1 merge.
+    // The right page is no longer referenced; the simulated disk has no
+    // free list, so it is simply abandoned.
     return;
   }
 
@@ -501,7 +368,7 @@ bool BTree::Cursor::SeekFirst() {
 bool BTree::Cursor::Seek(const ZKey& key) {
   PageId page_id = tree_->root_;
   PageRef ref = tree_->pool_->Fetch(page_id);
-  while (!IsLeafKind(KindOf(ref.page()))) {
+  while (!IsLeafPage(ref.page())) {
     ++internal_loads_;
     InternalView node(&ref.page());
     page_id = node.ChildAt(node.DescendLeft(key));
@@ -536,7 +403,7 @@ bool BTree::Cursor::SeekWithinLeaf(const ZKey& lo, const ZKey& hi) {
   }
   if (bounded && !(hi < right)) return false;
   PageRef leaf = tree_->pool_->Fetch(page_id);
-  assert(IsLeafKind(KindOf(leaf.page())));
+  PROBE_ASSERT(IsLeafPage(leaf.page()));
   EnterLeaf(std::move(leaf), page_id, lo);
   valid_ = index_ < static_cast<int>(cache_entries_.size());
   if (valid_) current_ = cache_entries_[static_cast<size_t>(index_)];
@@ -652,19 +519,7 @@ bool BTree::Cursor::AdvanceLeaf() {
 
 void BTree::Cursor::EnsureCache() {
   if (cache_valid_) return;
-  storage::Page& page = leaf_ref_.page();
-  if (KindOf(page) == kLeafV2Kind) {
-    V2Decode(page, &cache_entries_, &cache_z_);
-  } else {
-    LeafView leaf(&page);
-    const size_t n = static_cast<size_t>(leaf.count());
-    cache_entries_.resize(n);
-    cache_z_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      cache_entries_[i] = leaf.Get(static_cast<int>(i));
-      cache_z_[i] = cache_entries_[i].key.ToInteger();
-    }
-  }
+  V2Decode(leaf_ref_.page(), &cache_entries_, &cache_z_);
   cache_valid_ = true;
 }
 
@@ -673,19 +528,14 @@ int BTree::Cursor::LeafCountHeader() {
 }
 
 uint64_t BTree::Cursor::LeafLastZ() {
-  storage::Page& page = leaf_ref_.page();
-  if (KindOf(page) == kLeafV2Kind) {
-    return V2LastKey(page).ToInteger();
-  }
-  LeafView leaf(&page);
-  return leaf.Get(leaf.count() - 1).key.ToInteger();
+  return V2LastKey(leaf_ref_.page()).ToInteger();
 }
 
 std::vector<BTree::LeafSummary> BTree::LeafSequence() {
   // Descend to the leftmost leaf, then follow the chain.
   PageId page_id = root_;
   PageRef ref = pool_->Fetch(page_id);
-  while (!IsLeafKind(KindOf(ref.page()))) {
+  while (!IsLeafPage(ref.page())) {
     page_id = InternalView(&ref.page()).child0();
     ref = pool_->Fetch(page_id);
   }
@@ -695,13 +545,7 @@ std::vector<BTree::LeafSummary> BTree::LeafSequence() {
     const int count = page.Read<uint16_t>(kCountOffset);
     LeafSummary summary;
     summary.entries = count;
-    if (count > 0) {
-      summary.first_key = KindOf(page) == kLeafV2Kind
-                              ? V2FirstKey(page)
-                              : LeafView(&page).Get(0).key;
-    } else {
-      summary.first_key = ZKey{0, 0};
-    }
+    summary.first_key = count > 0 ? V2FirstKey(page) : ZKey{0, 0};
     leaves.push_back(summary);
     const PageId next = page.Read<PageId>(kNextLeafOffset);
     if (next == storage::kInvalidPageId) break;
@@ -718,7 +562,7 @@ BTreeShape BTree::ComputeShape() {
     std::vector<PageId> next_level;
     for (PageId id : level) {
       PageRef ref = pool_->Fetch(id);
-      if (IsLeafKind(KindOf(ref.page()))) {
+      if (IsLeafPage(ref.page())) {
         ++shape.leaf_pages;
         shape.entries += static_cast<uint64_t>(
             ref.page().Read<uint16_t>(kCountOffset));
@@ -766,10 +610,10 @@ bool BTree::CheckInvariants() {
     const Frame frame = stack.back();
     stack.pop_back();
     PageRef ref = pool_->Fetch(frame.id);
-    if (IsLeafKind(KindOf(ref.page()))) {
+    if (IsLeafPage(ref.page())) {
       if (frame.depth != height_) return false;
       std::vector<LeafEntry> entries;
-      DecodeLeafAny(ref.page(), &entries);
+      V2Decode(ref.page(), &entries);
       // Leaves are normally >= half full, but a split that refuses to
       // divide a run of duplicate keys may move its split point off
       // center, so only emptiness is a hard violation here.
@@ -850,7 +694,7 @@ BTree::BulkBuilder::BulkBuilder(storage::BufferPool* pool,
       internal_target_(
           std::clamp(static_cast<int>(fill * config.internal_capacity), 1,
                      config.internal_capacity)),
-      v2_byte_target_(kV2EntriesOffset +
+      byte_target_(kV2EntriesOffset +
                       static_cast<size_t>(
                           fill * (storage::Page::kSize - kV2EntriesOffset))) {
   assert(fill > 0.0 && fill <= 1.0);
@@ -863,47 +707,29 @@ void BTree::BulkBuilder::Add(const LeafEntry& entry) {
                    "bulk-load feed out of z order");
   last_key_ = entry.key;
   have_last_key_ = true;
-  if (config_.leaf_format == LeafFormat::kV2) {
-    // v2 leaves close on whichever binds first: the count target or the
-    // fill-scaled worst-case byte budget.
-    const size_t worst = V2EntryWorstSize(entry);
-    if (!pending_.empty() &&
-        (static_cast<int>(pending_.size()) >= leaf_target_ ||
-         pending_worst_bytes_ + worst > v2_byte_target_)) {
-      CloseLeaf();
-    }
-    pending_.push_back(entry);
-    pending_worst_bytes_ += worst;
-    ++total_entries_;
-    return;
+  // A leaf closes on whichever binds first: the count target or the
+  // fill-scaled worst-case byte budget.
+  const size_t worst = V2EntryWorstSize(entry);
+  if (!pending_.empty() &&
+      (static_cast<int>(pending_.size()) >= leaf_target_ ||
+       pending_worst_bytes_ + worst > byte_target_)) {
+    CloseLeaf();
   }
   pending_.push_back(entry);
+  pending_worst_bytes_ += worst;
   ++total_entries_;
-  if (static_cast<int>(pending_.size()) == leaf_target_) CloseLeaf();
 }
 
 void BTree::BulkBuilder::CloseLeaf() {
   if (pending_.empty()) return;
   PageId id;
   PageRef ref = pool_->New(&id);
-  if (config_.leaf_format == LeafFormat::kV2) {
-    V2Encode(&ref.page(), pending_, storage::kInvalidPageId);
-    PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, config_.leaf_capacity));
-  } else {
-    LeafView(&ref.page()).Init();
-    LeafView leaf(&ref.page());
-    for (size_t i = 0; i < pending_.size(); ++i) {
-      leaf.Set(static_cast<int>(i), pending_[i]);
-    }
-    leaf.set_count(static_cast<int>(pending_.size()));
-    PROBE_AUDIT(AuditLeafPage(leaf, 1, config_.leaf_capacity));
-  }
+  V2Encode(&ref.page(), pending_, storage::kInvalidPageId);
+  PROBE_AUDIT(AuditLeafV2Page(ref.page(), 1, config_.leaf_capacity));
   ref.MarkDirty();
   if (prev_leaf_ != storage::kInvalidPageId) {
-    // set_next_leaf writes the format-shared header field, so the link
-    // works for either leaf layout.
     PageRef prev_ref = pool_->Fetch(prev_leaf_);
-    LeafView(&prev_ref.page()).set_next_leaf(id);
+    prev_ref.page().Write<PageId>(kNextLeafOffset, id);
     prev_ref.MarkDirty();
   }
   prev_leaf_ = id;

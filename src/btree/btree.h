@@ -1,7 +1,6 @@
 #ifndef PROBE_BTREE_BTREE_H_
 #define PROBE_BTREE_BTREE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,43 +27,21 @@
 
 namespace probe::btree {
 
-/// Which on-page layout the tree writes for *new* leaves. Reads and
-/// mutations always dispatch on the page's own kind byte, so re-attaching
-/// a tree built with one format under a config naming the other stays
-/// correct — the flag only picks the layout of pages created afterwards.
-enum class LeafFormat : uint8_t {
-  kV1,  ///< fixed 17-byte entries (node.h)
-  kV2,  ///< shared-prefix + suffix-varint compression (leaf_codec.h)
-};
-
-/// Tree shape parameters. The default is the v1 layout (the paper's
-/// experiments run on it, at leaf_capacity 20); Compressed() is what
-/// DurableIndex and ShardedEngine serve by default. A v2 leaf grows as
-/// cheaply as a v1 leaf: an insert that keeps the page's first key and
-/// shared prefix is written in place (V2InsertInPlace).
+/// Tree shape parameters. Every leaf is a compressed page (leaf_codec.h);
+/// the default packs leaves to the page's byte budget, which is what
+/// DurableIndex and ShardedEngine serve. The paper's experiments set
+/// leaf_capacity = 20.
 struct BTreeConfig {
-  /// Max entries per leaf page. Must be in [2, LeafView::kMaxCapacity - 1]
-  /// for v1 leaves and [2, kV2MaxEntries - 1] for v2 (one slot of slack
-  /// lets inserts land before splitting). v2 pages are additionally
+  /// Max entries per leaf page, in [2, kV2MaxEntries - 1] (one slot of
+  /// slack lets inserts land before splitting). Pages are additionally
   /// bounded by bytes: a page admits entries while the sum of their
-  /// worst-case encoded sizes fits, so the real v2 capacity is usually
-  /// byte-driven.
-  int leaf_capacity = LeafView::kMaxCapacity - 1;
+  /// worst-case encoded sizes fits, so at the default the real capacity
+  /// is byte-driven.
+  int leaf_capacity = kV2MaxEntries - 1;
 
   /// Max (separator, child) pairs per internal page. Must be in
   /// [2, InternalView::kMaxCapacity - 1].
   int internal_capacity = InternalView::kMaxCapacity - 1;
-
-  /// Leaf layout for newly created pages.
-  LeafFormat leaf_format = LeafFormat::kV1;
-
-  /// Config writing compressed leaves packed to the page's byte budget.
-  static BTreeConfig Compressed() {
-    BTreeConfig config;
-    config.leaf_format = LeafFormat::kV2;
-    config.leaf_capacity = kV2MaxEntries - 1;
-    return config;
-  }
 };
 
 /// Structural statistics, computed by walking the tree.
@@ -224,9 +201,8 @@ class BTree {
     LeafEntry current_;
     bool valid_ = false;
     // Decoded image of the current leaf, built lazily on first entry
-    // access and reused until the cursor leaves the page. v1 leaves batch
-    // their fixed-width entries into it too, so the merge loop reads one
-    // contiguous z array either way.
+    // access and reused until the cursor leaves the page, so the merge
+    // loop reads one contiguous z array.
     std::vector<LeafEntry> cache_entries_;
     std::vector<uint64_t> cache_z_;
     bool cache_valid_ = false;
@@ -298,7 +274,7 @@ class BTree {
     BTreeConfig config_;
     int leaf_target_;
     int internal_target_;
-    size_t v2_byte_target_;  // fill-scaled worst-case byte budget (v2)
+    size_t byte_target_;  // fill-scaled worst-case byte budget
     std::vector<NodeInfo> leaves_;
     std::vector<LeafEntry> pending_;  // entries of the open leaf
     size_t pending_worst_bytes_ = kV2EntriesOffset;
@@ -325,11 +301,11 @@ class BTree {
   void InsertRec(storage::PageId page_id, const ZKey& key, uint64_t payload,
                  SplitResult* result);
 
-  // Insert into a v2 leaf: in place when the page keeps its first key and
+  // Insert into a leaf: in place when the page keeps its first key and
   // shared prefix, else decode, insert, re-encode; splits against the
   // worst-case byte budget when the page no longer admits the set.
-  void InsertLeafV2(storage::PageRef& ref, const ZKey& key, uint64_t payload,
-                    SplitResult* result);
+  void InsertLeaf(storage::PageRef& ref, const ZKey& key, uint64_t payload,
+                  SplitResult* result);
 
   // Recursive delete. Returns true if an entry was removed; sets
   // `*underflow` when `page_id` fell below its minimum occupancy.
@@ -339,29 +315,11 @@ class BTree {
   // Rebalances the underfull child at position `child_idx` of `parent`.
   void FixUnderflow(InternalView& parent, int child_idx);
 
-  // Leaf rebalancing when a v2 page is involved: merge the neighbor pair
-  // when the union is admitted, else redistribute at a feasible split.
-  void FixLeafUnderflowV2(InternalView& parent, int child_idx);
+  // Leaf rebalancing: merge the neighbor pair when the union is admitted,
+  // else redistribute at a feasible split.
+  void FixLeafUnderflow(InternalView& parent, int child_idx);
 
-  int MinLeafCount() const { return V1LeafCap() / 2; }
   int MinInternalCount() const { return config_.internal_capacity / 2; }
-
-  // Entry-count cap for v1 pages: the configured capacity clamped to the
-  // fixed-width physical bound. A compressed-format config carries a v2
-  // capacity far above what a v1 page can hold, yet v1 leaves still get
-  // mutated in mixed trees (a v1 image re-attached under the compressed
-  // config), so their split/underflow thresholds must not follow it.
-  int V1LeafCap() const {
-    return std::min(config_.leaf_capacity, LeafView::kMaxCapacity - 1);
-  }
-
-  // Entry-count cap for v2 pages: the configured capacity when this tree
-  // writes v2 leaves, else the physical bound (covers mutating v2 pages
-  // of a tree re-attached with a v1 config).
-  int V2LeafCap() const {
-    return config_.leaf_format == LeafFormat::kV2 ? config_.leaf_capacity
-                                                  : kV2MaxEntries - 1;
-  }
 
   storage::BufferPool* pool_;
   BTreeConfig config_;

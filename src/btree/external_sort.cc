@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <queue>
 #include <span>
 
@@ -14,17 +15,41 @@ bool EntryLess(const LeafEntry& a, const LeafEntry& b) {
   return a.payload < b.payload;
 }
 
-// Run pages use the leaf layout (count header + packed entries), which
-// the LeafView already knows how to read and write.
+// A run page is a uint16 record count followed by packed fixed-width
+// records (key raw, key len, payload); it is a private spill format,
+// never a tree page.
+struct PackedRecord {
+  uint64_t raw;
+  uint8_t len;
+  uint64_t payload;
+} __attribute__((packed));
+
+constexpr size_t kRunHeaderBytes = sizeof(uint16_t);
+
+static_assert(sizeof(PackedRecord) == 17);
+static_assert(ExternalSorter::kEntriesPerPage ==
+              (storage::Page::kSize - kRunHeaderBytes) / sizeof(PackedRecord));
+
+size_t RecordOffset(size_t i) {
+  return kRunHeaderBytes + i * sizeof(PackedRecord);
+}
+
+LeafEntry ReadRecord(const storage::Page& page, size_t i) {
+  PackedRecord packed;
+  std::memcpy(&packed, page.data() + RecordOffset(i), sizeof packed);
+  return LeafEntry{ZKey{packed.raw, packed.len}, packed.payload};
+}
+
 void WriteRunPage(storage::Pager* pager, storage::PageId id,
                   std::span<const LeafEntry> entries) {
   storage::Page page;
-  LeafView view(&page);
-  view.Init();
+  page.Clear();
+  page.Write<uint16_t>(0, static_cast<uint16_t>(entries.size()));
   for (size_t i = 0; i < entries.size(); ++i) {
-    view.Set(static_cast<int>(i), entries[i]);
+    const PackedRecord packed{entries[i].key.raw, entries[i].key.len,
+                              entries[i].payload};
+    std::memcpy(page.data() + RecordOffset(i), &packed, sizeof packed);
   }
-  view.set_count(static_cast<int>(entries.size()));
   pager->Write(id, page);
 }
 
@@ -45,7 +70,7 @@ class RunReader {
     if (index_ >= count_) {
       LoadNextPage();
     } else {
-      current_ = LeafView(&page_).Get(index_);
+      current_ = ReadRecord(page_, static_cast<size_t>(index_));
     }
   }
 
@@ -55,11 +80,10 @@ class RunReader {
     while (page_pos_ < pages_->size()) {
       pager_->Read((*pages_)[page_pos_++], &page_);
       ++*pages_read_;
-      LeafView view(&page_);
-      count_ = view.count();
+      count_ = page_.Read<uint16_t>(0);
       if (count_ > 0) {
         index_ = 0;
-        current_ = view.Get(0);
+        current_ = ReadRecord(page_, 0);
         valid_ = true;
         return;
       }

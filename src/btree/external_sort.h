@@ -38,8 +38,8 @@ struct ExternalSortStats {
 /// Streaming external sorter for LeafEntry records.
 class ExternalSorter {
  public:
-  /// Records per run page (what fits after a small count header).
-  static constexpr int kEntriesPerPage = LeafView::kMaxCapacity;
+  /// Records per run page: 17-byte records after a 2-byte count.
+  static constexpr int kEntriesPerPage = 240;
 
   /// `scratch` holds the spill pages; `budget_entries` is the in-memory
   /// buffer size (>= 1). The scratch pager must outlive the sorter.

@@ -9,13 +9,13 @@
 #include "storage/page.h"
 
 /// \file
-/// The compressed leaf format (v2): shared-prefix + suffix-varint pages.
+/// The leaf page format: shared-prefix + suffix-varint pages.
 ///
 /// Consecutive z values in a leaf share long common bit prefixes by
-/// construction (a leaf owns a contiguous z interval), so the fixed
-/// 17-byte entry of the v1 layout wastes most of its key bytes repeating
-/// the leaf's prefix. The v2 page stores that prefix once in the header
-/// and each entry as
+/// construction (a leaf owns a contiguous z interval), so a fixed-width
+/// entry (8 key bytes + 1 length byte + 8 payload bytes = 17) would spend
+/// most of its key bytes repeating the leaf's prefix. The page stores
+/// that prefix once in the header and each entry as
 ///
 ///     key_len (1 byte) | suffix varint | payload varint
 ///
@@ -24,8 +24,8 @@
 /// shrink from 17 to 5-8 bytes per entry, which multiplies keys-per-page
 /// and divides the paper's page-access metric accordingly.
 ///
-/// Layout (byte offsets; count and next-leaf sit at the same offsets as
-/// the v1 header so chain-walking code is format-blind):
+/// Layout (byte offsets; kind, count and next-leaf are the common node
+/// header of node.h):
 ///
 ///     0       kind = kLeafV2Kind
 ///     2..3    entry count (uint16)
@@ -54,13 +54,13 @@
 ///
 /// An insert that keeps the page's first key and shared prefix is written
 /// in place (V2InsertInPlace): the entry's bytes go at its slot and the
-/// tail shifts right, as LeafView::InsertAt does for v1. Every other
-/// mutation — a key below the first, a prefix collapse, a split, a delete
-/// — decodes, edits and re-encodes. Both paths write the same bytes.
+/// tail shifts right. Every other mutation — a key below the first, a
+/// prefix collapse, a split, a delete — decodes, edits and re-encodes.
+/// Both paths write the same bytes.
 
 namespace probe::btree {
 
-/// Header offsets of the v2 leaf (kind/count/next-leaf are shared with v1).
+/// Header offsets of the leaf past the common node header.
 inline constexpr size_t kV2UsedOffset = 8;
 inline constexpr size_t kV2PrefixLenOffset = 10;
 inline constexpr size_t kV2LastLenOffset = 11;

@@ -7,81 +7,12 @@ namespace probe::btree {
 
 namespace {
 
-size_t LeafEntryOffset(int i) {
-  return kEntriesOffset + static_cast<size_t>(i) * LeafView::kEntryBytes;
-}
-
-/// The on-page image of one v1 leaf entry. Get/Set move a whole entry
-/// with a single 17-byte memcpy instead of three field-sized page
-/// accesses — the difference is measurable in the scan loop (bench_micro
-/// BM_LeafViewGet).
-struct PackedLeafEntry {
-  uint64_t raw;
-  uint8_t len;
-  uint64_t payload;
-} __attribute__((packed));
-
-static_assert(sizeof(PackedLeafEntry) == LeafView::kEntryBytes);
-
 size_t PairOffset(int i) {
   return InternalView::kPairsOffset +
          static_cast<size_t>(i) * InternalView::kEntryBytes;
 }
 
 }  // namespace
-
-void LeafView::Init() {
-  page_->Clear();
-  page_->Write<uint8_t>(kKindOffset, kLeafKind);
-  page_->Write<uint16_t>(kCountOffset, 0);
-  page_->Write<storage::PageId>(kNextLeafOffset, storage::kInvalidPageId);
-}
-
-LeafEntry LeafView::Get(int i) const {
-  assert(i >= 0 && i < count());
-  PackedLeafEntry packed;
-  std::memcpy(&packed, page_->data() + LeafEntryOffset(i), sizeof packed);
-  return LeafEntry{ZKey{packed.raw, packed.len}, packed.payload};
-}
-
-void LeafView::Set(int i, const LeafEntry& entry) {
-  assert(i >= 0 && i < kMaxCapacity);
-  const PackedLeafEntry packed{entry.key.raw, entry.key.len, entry.payload};
-  std::memcpy(page_->data() + LeafEntryOffset(i), &packed, sizeof packed);
-}
-
-void LeafView::InsertAt(int i, const LeafEntry& entry) {
-  const int n = count();
-  assert(i >= 0 && i <= n && n < kMaxCapacity);
-  std::memmove(page_->data() + LeafEntryOffset(i + 1),
-               page_->data() + LeafEntryOffset(i),
-               static_cast<size_t>(n - i) * kEntryBytes);
-  set_count(n + 1);
-  Set(i, entry);
-}
-
-void LeafView::RemoveAt(int i) {
-  const int n = count();
-  assert(i >= 0 && i < n);
-  std::memmove(page_->data() + LeafEntryOffset(i),
-               page_->data() + LeafEntryOffset(i + 1),
-               static_cast<size_t>(n - i - 1) * kEntryBytes);
-  set_count(n - 1);
-}
-
-int LeafView::LowerBound(const ZKey& key) const {
-  int lo = 0;
-  int hi = count();
-  while (lo < hi) {
-    const int mid = (lo + hi) / 2;
-    if (Get(mid).key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
 
 void InternalView::Init(storage::PageId child0) {
   page_->Clear();

@@ -10,12 +10,12 @@
 /// On-page node layouts of the prefix B+-tree.
 ///
 /// Two node kinds share a small header:
-///   byte 0      : kind (0 = leaf, 1 = internal)
+///   byte 0      : kind (kLeafV2Kind = leaf, kInternalKind = internal)
 ///   bytes 2..3  : entry count (uint16)
 ///   bytes 4..7  : leaf only — PageId of the next leaf (the chain that
 ///                 gives the sequential access the merge algorithms need)
-/// Leaf entries are (key.raw, key.len, payload) records; internal nodes
-/// hold a leftmost child followed by (separator, child) entries where the
+/// Leaves are the compressed pages of leaf_codec.h. Internal nodes hold a
+/// leftmost child followed by (separator, child) entries where the
 /// separator is a *prefix-truncated* key (the "prefix B+-tree" of the
 /// paper's experimental setup): the shortest z-value prefix that routes
 /// correctly, which both shrinks separators and aligns them with element
@@ -26,74 +26,23 @@
 
 namespace probe::btree {
 
-/// Node kind tags. kLeafV2Kind marks the compressed leaf layout of
-/// leaf_codec.h; its count and next-leaf fields sit at the same offsets
-/// as the v1 leaf, so chain walking and occupancy reads are format-blind.
-inline constexpr uint8_t kLeafKind = 0;
+/// Node kind tags. Kind 0 was the fixed-width leaf of older files, which
+/// no tree reads or writes (DurableIndex refuses such files at open).
 inline constexpr uint8_t kInternalKind = 1;
 inline constexpr uint8_t kLeafV2Kind = 2;
 
-/// True for either leaf layout. Structural code dispatches on the page's
-/// own kind byte, so a tree holding v2 pages stays readable even when
-/// re-attached with a v1-format config.
-inline constexpr bool IsLeafKind(uint8_t kind) {
-  return kind == kLeafKind || kind == kLeafV2Kind;
-}
+/// True for a leaf page.
+inline constexpr bool IsLeafKind(uint8_t kind) { return kind == kLeafV2Kind; }
 
 /// Byte offsets of the common header.
 inline constexpr size_t kKindOffset = 0;
 inline constexpr size_t kCountOffset = 2;
 inline constexpr size_t kNextLeafOffset = 4;
-inline constexpr size_t kEntriesOffset = 12;
 
 /// A (key, payload) record in a leaf.
 struct LeafEntry {
   ZKey key;
   uint64_t payload = 0;
-};
-
-/// Read/write view of a leaf page.
-class LeafView {
- public:
-  /// Bytes per leaf entry: key raw (8) + key len (1) + payload (8).
-  static constexpr size_t kEntryBytes = 17;
-
-  /// Largest entry count a page can physically hold.
-  static constexpr int kMaxCapacity =
-      static_cast<int>((storage::Page::kSize - kEntriesOffset) / kEntryBytes);
-
-  explicit LeafView(storage::Page* page) : page_(page) {}
-
-  /// Stamps a fresh page as an empty leaf.
-  void Init();
-
-  bool IsLeaf() const { return page_->Read<uint8_t>(kKindOffset) == kLeafKind; }
-  int count() const { return page_->Read<uint16_t>(kCountOffset); }
-  void set_count(int n) {
-    page_->Write<uint16_t>(kCountOffset, static_cast<uint16_t>(n));
-  }
-
-  storage::PageId next_leaf() const {
-    return page_->Read<storage::PageId>(kNextLeafOffset);
-  }
-  void set_next_leaf(storage::PageId id) {
-    page_->Write<storage::PageId>(kNextLeafOffset, id);
-  }
-
-  LeafEntry Get(int i) const;
-  void Set(int i, const LeafEntry& entry);
-
-  /// Inserts at position `i`, shifting later entries right.
-  void InsertAt(int i, const LeafEntry& entry);
-
-  /// Removes position `i`, shifting later entries left.
-  void RemoveAt(int i);
-
-  /// First position whose key is >= `key` (by z order); count() if none.
-  int LowerBound(const ZKey& key) const;
-
- private:
-  storage::Page* page_;
 };
 
 /// Read/write view of an internal page.
@@ -102,8 +51,9 @@ class InternalView {
   /// Bytes per (separator, child) entry: sep raw (8) + sep len (1) +
   /// child id (4).
   static constexpr size_t kEntryBytes = 13;
-  /// The leftmost child id sits first in the entry area.
-  static constexpr size_t kChild0Offset = kEntriesOffset;
+  /// The leftmost child id sits first in the entry area, at byte 12 (an
+  /// internal node leaves bytes 4..11 unused).
+  static constexpr size_t kChild0Offset = 12;
   static constexpr size_t kPairsOffset = kChild0Offset + sizeof(uint32_t);
 
   static constexpr int kMaxCapacity =
@@ -114,7 +64,6 @@ class InternalView {
   /// Stamps a fresh page as an internal node with the given leftmost child.
   void Init(storage::PageId child0);
 
-  bool IsLeaf() const { return page_->Read<uint8_t>(kKindOffset) == kLeafKind; }
   /// Number of (separator, child) pairs; the node has count()+1 children.
   int count() const { return page_->Read<uint16_t>(kCountOffset); }
   void set_count(int n) {

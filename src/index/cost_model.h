@@ -108,10 +108,10 @@ class CostModel {
   size_t leaf_count() const { return first_keys_.size(); }
 
   /// Mean entries per leaf at snapshot time. Leaf density depends on the
-  /// page format — compressed (v2) leaves pack several times more keys per
-  /// page than fixed-width v1 leaves — and the snapshot measures it instead
-  /// of assuming a compile-time capacity, so estimates convert between rows
-  /// and pages correctly for either format (or a mixed tree).
+  /// configured capacity and, at the byte-driven default, on how well the
+  /// keys compress, so the snapshot measures it instead of assuming a
+  /// compile-time capacity and estimates convert between rows and pages
+  /// correctly.
   double avg_leaf_entries() const { return avg_leaf_entries_; }
 
   const zorder::GridSpec& grid() const { return grid_; }

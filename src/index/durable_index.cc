@@ -15,8 +15,10 @@ namespace {
 // (8) + tree state (16). Grid shape is stored so an attach with the wrong
 // spec fails loudly instead of misinterpreting every key; the epoch is
 // stored so a reopen resumes the epoch sequence where the durable prefix
-// ended.
-constexpr uint32_t kMetaMagic = 0x324B5A50u;  // "PZK2"
+// ended. The magic names the page format: "PZK3" files hold only the
+// compressed leaf with entries at offset 30. Older files ("PZK2") may
+// hold fixed-width leaves or entries at offset 28, so they are refused.
+constexpr uint32_t kMetaMagic = 0x334B5A50u;  // "PZK3"
 constexpr size_t kMetaBytes =
     24 + btree::BTree::PersistentState::kEncodedBytes;
 
@@ -156,6 +158,9 @@ bool DurableIndex::Apply(std::span<const Op> ops, uint64_t* epoch_out) {
     util::MutexLock lock(&apply_mutex_);
     if (!txn_->ok()) return false;
     for (const Op& op : ops) {
+      // An eviction into a dead log drops its page image, so from then on
+      // the live tree may fetch stale or zeroed pages: stop applying.
+      if (!txn_->ok()) return false;
       if (op.kind == Op::Kind::kInsert) {
         index_->Insert(op.point, op.id);
       } else {

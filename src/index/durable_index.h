@@ -68,10 +68,8 @@ namespace probe::index {
 class DurableIndex {
  public:
   struct Options {
-    /// Tree shape. Defaults to compressed (v2) leaves, which hold about
-    /// 2.5x the keys of a v1 page; the tree reads either layout, so a
-    /// database written under one config re-opens under the other.
-    btree::BTreeConfig config = btree::BTreeConfig::Compressed();
+    /// Tree shape. The default packs leaves to the page's byte budget.
+    btree::BTreeConfig config;
     /// Buffer pool frames (the writer's pool).
     size_t pool_pages = 256;
     /// Frames for each snapshot's private pool.

@@ -63,9 +63,8 @@ struct ShardedEngineOptions {
   int shards = 1;
   size_t pool_pages_per_shard = 256;
   size_t snapshot_pool_pages_per_shard = 64;
-  /// Every shard's tree shape; compressed (v2) leaves by default, as in
-  /// DurableIndex::Options.
-  btree::BTreeConfig config = btree::BTreeConfig::Compressed();
+  /// Every shard's tree shape, as in DurableIndex::Options.
+  btree::BTreeConfig config;
   storage::EvictionPolicy policy = storage::EvictionPolicy::kLru;
   bool truncate = false;
 };

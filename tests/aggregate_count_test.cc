@@ -1,6 +1,6 @@
 // Aggregate pushdown: CountRange/CountBox on the index, the planner's
 // AggregateCount node, EXPLAIN's rendering of the pushdown counters, and
-// the cost model's calibration on compressed (v2) pages.
+// the cost model's calibration on byte-packed leaves.
 
 #include <algorithm>
 #include <cmath>
@@ -51,8 +51,10 @@ std::vector<index::PointRecord> Points(const GridSpec& grid, size_t count,
   return GeneratePoints(grid, data);
 }
 
-TEST(AggregateCountTest, CountBoxMatchesRangeSearchOnBothFormats) {
+TEST(AggregateCountTest, CountBoxMatchesBruteForce) {
   const GridSpec grid{2, 10};
+  btree::BTreeConfig paper;
+  paper.leaf_capacity = 20;
   for (const auto dist : {Distribution::kUniform, Distribution::kClustered,
                           Distribution::kDiagonal}) {
     SCOPED_TRACE(workload::DistributionName(dist));
@@ -61,24 +63,28 @@ TEST(AggregateCountTest, CountBoxMatchesRangeSearchOnBothFormats) {
     data.count = 20000;
     data.seed = 8800;
     const auto points = GeneratePoints(grid, data);
-    Fixture v1(grid, points, {});
-    Fixture v2(grid, points, btree::BTreeConfig::Compressed());
+    // Byte-packed leaves and the paper's 20-entry leaves.
+    Fixture packed(grid, points, {});
+    Fixture small(grid, points, paper);
 
     util::Rng rng(8801);
     for (const double volume : {0.001, 0.01, 0.05}) {
       for (const auto& box :
            workload::MakeQueryBoxes2D(grid, volume, 1.0, 8, rng)) {
-        const uint64_t expected = v1.index.RangeSearch(box).size();
-        QueryStats v1_stats;
-        QueryStats v2_stats;
-        EXPECT_EQ(v1.index.CountBox(box, &v1_stats), expected);
-        EXPECT_EQ(v2.index.CountBox(box, &v2_stats), expected);
+        const uint64_t expected = static_cast<uint64_t>(std::count_if(
+            points.begin(), points.end(), [&box](const auto& rec) {
+              return box.ContainsPoint(rec.point);
+            }));
+        QueryStats packed_stats;
+        QueryStats small_stats;
+        EXPECT_EQ(packed.index.CountBox(box, &packed_stats), expected);
+        EXPECT_EQ(small.index.CountBox(box, &small_stats), expected);
         // Full-depth decomposition: every element is contained, nothing
         // is decoded into rows.
-        EXPECT_EQ(v1_stats.materialized_rows, 0u);
-        EXPECT_EQ(v2_stats.materialized_rows, 0u);
+        EXPECT_EQ(packed_stats.materialized_rows, 0u);
+        EXPECT_EQ(small_stats.materialized_rows, 0u);
         if (expected > 0) {
-          EXPECT_GT(v2_stats.contained_elements, 0u);
+          EXPECT_GT(packed_stats.contained_elements, 0u);
         }
       }
     }
@@ -88,15 +94,15 @@ TEST(AggregateCountTest, CountBoxMatchesRangeSearchOnBothFormats) {
 TEST(AggregateCountTest, DepthCappedCountVerifiesBoundaryRows) {
   const GridSpec grid{2, 10};
   const auto points = Points(grid, 20000, 8810);
-  Fixture v2(grid, points, btree::BTreeConfig::Compressed());
+  Fixture built(grid, points, {});
 
   util::Rng rng(8811);
   index::SearchOptions capped;
   capped.max_element_depth = 8;  // coarse cover: boundary cells overcover
   for (const auto& box : workload::MakeQueryBoxes2D(grid, 0.02, 1.0, 8, rng)) {
-    const uint64_t expected = v2.index.RangeSearch(box).size();
+    const uint64_t expected = built.index.RangeSearch(box).size();
     QueryStats stats;
-    EXPECT_EQ(v2.index.CountBox(box, &stats, capped), expected);
+    EXPECT_EQ(built.index.CountBox(box, &stats, capped), expected);
     // The capped cover is inexact, so the count had to verify rows.
     EXPECT_GT(stats.materialized_rows, 0u);
   }
@@ -105,7 +111,7 @@ TEST(AggregateCountTest, DepthCappedCountVerifiesBoundaryRows) {
 TEST(AggregateCountTest, CountRangeMatchesCursorScan) {
   const GridSpec grid{2, 8};
   const auto points = Points(grid, 5000, 8820);
-  Fixture v2(grid, points, btree::BTreeConfig::Compressed());
+  Fixture built(grid, points, {});
 
   const int total = grid.total_bits();
   std::vector<uint64_t> zs;
@@ -121,7 +127,7 @@ TEST(AggregateCountTest, CountRangeMatchesCursorScan) {
     if (lo > hi) std::swap(lo, hi);
     const auto begin = std::lower_bound(zs.begin(), zs.end(), lo);
     const auto end = std::upper_bound(zs.begin(), zs.end(), hi);
-    EXPECT_EQ(v2.index.CountRange(lo, hi),
+    EXPECT_EQ(built.index.CountRange(lo, hi),
               static_cast<uint64_t>(end - begin));
   }
 }
@@ -129,12 +135,13 @@ TEST(AggregateCountTest, CountRangeMatchesCursorScan) {
 TEST(AggregateCountTest, PlannerProducesAggregateNode) {
   const GridSpec grid{2, 10};
   const auto points = Points(grid, 8000, 8830);
-  Fixture v2(grid, points, btree::BTreeConfig::Compressed());
-  const index::CostModel model = index::CostModel::FromIndex(v2.index);
-  EXPECT_GT(model.avg_leaf_entries(), 400.0);  // v2 density, not v1's 239
+  Fixture built(grid, points, {});
+  const index::CostModel model = index::CostModel::FromIndex(built.index);
+  // Byte-driven density, far above the 239 of a 17-byte fixed entry.
+  EXPECT_GT(model.avg_leaf_entries(), 400.0);
 
   PlannerContext ctx;
-  ctx.index = &v2.index;
+  ctx.index = &built.index;
   ctx.cost_model = &model;
 
   util::Rng rng(8831);
@@ -144,7 +151,7 @@ TEST(AggregateCountTest, PlannerProducesAggregateNode) {
     EXPECT_NE(planned.summary.find("AggregateCount"), std::string::npos);
     ExecutionResult result = Execute(*planned.root);
     ASSERT_EQ(result.rows.size(), 1u);
-    const uint64_t expected = v2.index.RangeSearch(box).size();
+    const uint64_t expected = built.index.RangeSearch(box).size();
     EXPECT_EQ(std::get<int64_t>(result.rows.row(0)[0]),
               static_cast<int64_t>(expected));
 
@@ -162,9 +169,9 @@ TEST(AggregateCountTest, PlannerProducesAggregateNode) {
 }
 
 TEST(AggregateCountTest, CostModelCalibratedOnCompressedPages) {
-  // The estimator reads leaf boundaries through the format-dispatched
-  // walk, so its page predictions must stay inside the ~15% band on v2
-  // trees exactly as planner_calibration_test holds them on v1.
+  // The estimator reads leaf boundaries from the leaf walk, so its page
+  // predictions must stay inside the ~15% band on byte-packed leaves
+  // exactly as planner_calibration_test holds them at small capacities.
   const GridSpec grid{2, 10};
   for (const auto dist : {Distribution::kUniform, Distribution::kClustered}) {
     workload::DataGenConfig data;
@@ -172,8 +179,8 @@ TEST(AggregateCountTest, CostModelCalibratedOnCompressedPages) {
     data.count = 20000;
     data.seed = 8840;
     const auto points = GeneratePoints(grid, data);
-    Fixture v2(grid, points, btree::BTreeConfig::Compressed());
-    const index::CostModel model = index::CostModel::FromIndex(v2.index);
+    Fixture built(grid, points, {});
+    const index::CostModel model = index::CostModel::FromIndex(built.index);
 
     util::Rng rng(8841);
     double total_estimated = 0;
@@ -184,7 +191,7 @@ TEST(AggregateCountTest, CostModelCalibratedOnCompressedPages) {
         total_estimated +=
             static_cast<double>(model.EstimatePages(box).pages);
         QueryStats stats;
-        v2.index.CountBox(box, &stats);
+        built.index.CountBox(box, &stats);
         total_actual += static_cast<double>(stats.leaf_pages);
       }
     }

@@ -74,25 +74,6 @@ TEST(PrefixSeparatorTest, AlwaysValidOnRandomPairs) {
   }
 }
 
-TEST(LeafViewTest, InsertRemoveShift) {
-  storage::Page page;
-  LeafView leaf(&page);
-  leaf.Init();
-  leaf.InsertAt(0, LeafEntry{Key(10), 1});
-  leaf.InsertAt(1, LeafEntry{Key(30), 3});
-  leaf.InsertAt(1, LeafEntry{Key(20), 2});
-  ASSERT_EQ(leaf.count(), 3);
-  EXPECT_EQ(leaf.Get(0).payload, 1u);
-  EXPECT_EQ(leaf.Get(1).payload, 2u);
-  EXPECT_EQ(leaf.Get(2).payload, 3u);
-  leaf.RemoveAt(1);
-  ASSERT_EQ(leaf.count(), 2);
-  EXPECT_EQ(leaf.Get(1).payload, 3u);
-  EXPECT_EQ(leaf.LowerBound(Key(15)), 1);
-  EXPECT_EQ(leaf.LowerBound(Key(10)), 0);
-  EXPECT_EQ(leaf.LowerBound(Key(99)), 2);
-}
-
 TEST(BTreeTest, EmptyTree) {
   storage::MemPager pager;
   storage::BufferPool pool(&pager, 16);
@@ -495,6 +476,69 @@ TEST(BTreeTest, BulkLoadThenChurnKeepsInvariants) {
     EXPECT_EQ(dump[i].first, entry.first);
     ++i;
   }
+}
+
+TEST(BTreeTest, LeafUnderflowsBelowHalfTheCapacity) {
+  // Two leaves of the paper's capacity 20, written by hand. A page of 20
+  // entries is always under a quarter full, so bytes alone would rebalance
+  // on every delete; a leaf left with at least 10 entries must stay as is.
+  storage::MemPager pager;
+  storage::BufferPool pool(&pager, 16);
+  BTreeConfig config;
+  config.leaf_capacity = 20;
+  std::vector<LeafEntry> left;
+  std::vector<LeafEntry> right;
+  for (uint64_t i = 0; i < 20; ++i) {
+    left.push_back({Key(i), i});
+    right.push_back({Key(100 + i), 100 + i});
+  }
+  storage::PageId left_id;
+  storage::PageId right_id;
+  storage::PageId root_id;
+  {
+    storage::PageRef left_ref = pool.New(&left_id);
+    storage::PageRef right_ref = pool.New(&right_id);
+    storage::PageRef root_ref = pool.New(&root_id);
+    V2Encode(&right_ref.page(), right, storage::kInvalidPageId);
+    V2Encode(&left_ref.page(), left, right_id);
+    InternalView root(&root_ref.page());
+    root.Init(left_id);
+    root.InsertPairAt(0, PrefixSeparator(left.back().key, right.front().key),
+                      right_id);
+    left_ref.MarkDirty();
+    right_ref.MarkDirty();
+    root_ref.MarkDirty();
+  }
+  BTree tree = BTree::Attach(&pool, {root_id, 2, 40}, config);
+  auto bytes = [&pool](storage::PageId id) {
+    storage::PageRef ref = pool.Fetch(id);
+    return std::vector<uint8_t>(ref.page().data(),
+                                ref.page().data() + storage::Page::kSize);
+  };
+  const auto left_before = bytes(left_id);
+  const auto root_before = bytes(root_id);
+
+  // Down to 10 entries on the right leaf: no rebalance, so only that
+  // leaf's own bytes change.
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(tree.Delete(Key(100 + i), 100 + i));
+    EXPECT_EQ(bytes(left_id), left_before) << i;
+    EXPECT_EQ(bytes(root_id), root_before) << i;
+  }
+  std::vector<LeafEntry> kept(right.begin() + 10, right.end());
+  storage::Page expect;
+  V2Encode(&expect, kept, storage::kInvalidPageId);
+  EXPECT_EQ(bytes(right_id),
+            std::vector<uint8_t>(expect.data(),
+                                 expect.data() + storage::Page::kSize));
+
+  // The 11th delete leaves 9: the pair is rebalanced to 14 + 15.
+  ASSERT_TRUE(tree.Delete(Key(110), 110));
+  const auto leaves = tree.LeafSequence();
+  ASSERT_EQ(leaves.size(), 2u);
+  EXPECT_EQ(leaves[0].entries, 14);
+  EXPECT_EQ(leaves[1].entries, 15);
+  EXPECT_TRUE(tree.CheckInvariants());
 }
 
 TEST(BTreeTest, DeleteDownToEmptyAndReuse) {

@@ -241,7 +241,7 @@ TEST(FuzzLeafCodecTest, RandomInsertDeleteSequencesOnV2Pages) {
   util::Rng rng(0x2eaf);
   storage::MemPager pager;
   storage::BufferPool pool(&pager, 256);
-  BTreeConfig config = BTreeConfig::Compressed();
+  BTreeConfig config;
   // A small capacity forces frequent splits/merges so the page-level
   // encode/re-encode paths run constantly.
   config.leaf_capacity = 48;

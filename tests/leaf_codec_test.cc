@@ -84,8 +84,9 @@ TEST(LeafCodecTest, EmptyPageRoundTrips) {
 
 TEST(LeafCodecTest, CompressionBeatsFixedWidthOnSharedPrefixes) {
   const auto entries = SampleRun();
-  const size_t v1_bytes = kEntriesOffset + entries.size() * LeafView::kEntryBytes;
-  EXPECT_LT(V2EncodedSize(entries), v1_bytes / 2);
+  // A fixed-width entry is key raw (8) + key len (1) + payload (8) bytes.
+  const size_t fixed_bytes = entries.size() * 17;
+  EXPECT_LT(V2EncodedSize(entries), fixed_bytes / 2);
 }
 
 TEST(LeafCodecTest, WorstSizeBoundsActualSize) {

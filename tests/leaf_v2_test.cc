@@ -1,8 +1,7 @@
-// End-to-end coverage of the compressed (v2) leaf format: bulk build on
-// the U, C and D distributions (at least 2x the keys per leaf page),
-// incremental maintenance, result identity with the v1 format across
-// serial, parallel, and WAL-recovered indexes, and mixed-format trees
-// produced by re-attaching a v1 image under the compressed config.
+// End-to-end coverage of the compressed leaf format: bulk build on the
+// U, C and D distributions (at least 2x the keys of a 17-byte fixed-width
+// entry per leaf page), incremental maintenance, and result identity with
+// a brute-force scan across serial, parallel, and WAL-recovered indexes.
 
 #include <algorithm>
 #include <vector>
@@ -41,7 +40,17 @@ std::vector<GridBox> QueryBatch(const GridSpec& grid, int count,
   return workload::MakeQueryBoxes2D(grid, 0.01, 1.0, count, rng);
 }
 
-TEST(LeafV2Test, BulkBuildMatchesV1AcrossSerialAndParallel) {
+std::vector<uint64_t> BruteForce(const std::vector<PointRecord>& points,
+                                 const GridBox& box) {
+  std::vector<uint64_t> ids;
+  for (const auto& rec : points) {
+    if (box.ContainsPoint(rec.point)) ids.push_back(rec.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(LeafV2Test, BulkBuildMatchesBruteForceAcrossSerialAndParallel) {
   const GridSpec grid{2, 10};
   util::ThreadPool pool(3);
   for (const auto dist :
@@ -54,29 +63,24 @@ TEST(LeafV2Test, BulkBuildMatchesV1AcrossSerialAndParallel) {
     data.seed = 42;
     const auto points = GeneratePoints(grid, data);
 
-    storage::MemPager v1_pager;
-    storage::BufferPool v1_pool(&v1_pager, 1024);
-    const auto v1 = ZkdIndex::Build(grid, &v1_pool, points);
+    storage::MemPager pager;
+    storage::BufferPool buffer_pool(&pager, 1024);
+    const auto built = ZkdIndex::Build(grid, &buffer_pool, points);
 
-    storage::MemPager v2_pager;
-    storage::BufferPool v2_pool(&v2_pager, 1024);
-    const auto v2 = ZkdIndex::Build(grid, &v2_pool, points,
-                                    btree::BTreeConfig::Compressed());
-
-    // The compression claim itself, on every distribution: the same
-    // entries on at most half the leaves, i.e. at least 2x the keys per
-    // page (the format's acceptance bar is 1.3x; leaf counts are
-    // deterministic).
-    EXPECT_GE(v1.LeafPartitions().size(), 2 * v2.LeafPartitions().size());
+    // The compression claim itself, on every distribution: at least twice
+    // the 240 keys a page of 17-byte fixed-width entries holds (the
+    // format's acceptance bar is 1.3x; leaf counts are deterministic).
+    constexpr size_t kFixedWidthKeysPerPage = 240;
+    EXPECT_GE(points.size(),
+              2 * kFixedWidthKeysPerPage * built.LeafPartitions().size());
 
     for (const auto& box : QueryBatch(grid, 24, 43)) {
-      QueryStats v1_stats;
-      QueryStats v2_stats;
-      const auto expected = v1.RangeSearch(box, &v1_stats);
-      EXPECT_EQ(v2.RangeSearch(box, &v2_stats), expected);
-      EXPECT_EQ(v2.ParallelRangeSearch(box, pool), expected);
-      // Fewer leaves means fewer page accesses on the same query.
-      EXPECT_LE(v2_stats.leaf_pages, v1_stats.leaf_pages);
+      const auto expected = BruteForce(points, box);
+      auto serial = built.RangeSearch(box);
+      auto parallel = built.ParallelRangeSearch(box, pool);
+      EXPECT_EQ(parallel, serial);
+      std::sort(serial.begin(), serial.end());
+      EXPECT_EQ(serial, expected);
     }
   }
 }
@@ -85,7 +89,7 @@ TEST(LeafV2Test, IncrementalInsertDeleteMatchesBruteForce) {
   const GridSpec grid{2, 8};
   storage::MemPager pager;
   storage::BufferPool pool(&pager, 512);
-  btree::BTreeConfig config = btree::BTreeConfig::Compressed();
+  btree::BTreeConfig config;
   config.leaf_capacity = 40;  // force splits and merges
   ZkdIndex index(grid, &pool, config);
 
@@ -125,7 +129,6 @@ TEST(LeafV2Test, WalRecoveredIndexIsIdentical) {
   testutil::TempFile tmp("leaf_v2_wal");
 
   DurableIndex::Options options;
-  options.config = btree::BTreeConfig::Compressed();
   options.truncate = true;
 
   std::vector<std::vector<uint64_t>> expected;
@@ -151,44 +154,6 @@ TEST(LeafV2Test, WalRecoveredIndexIsIdentical) {
   EXPECT_EQ(db.index().size(), points.size());
   for (size_t q = 0; q < boxes.size(); ++q) {
     EXPECT_EQ(db.index().RangeSearch(boxes[q]), expected[q]) << q;
-  }
-}
-
-TEST(LeafV2Test, MixedFormatTreeStaysCorrect) {
-  // A v1-built image re-attached under the compressed config: old leaves
-  // keep their v1 tag through inserts and splits, and readers dispatch
-  // per page — queries never notice.
-  const GridSpec grid{2, 8};
-  const auto points = UniformPoints(grid, 4000, 99);
-  storage::MemPager pager;
-  storage::BufferPool pool(&pager, 512);
-
-  btree::BTree::PersistentState state;
-  {
-    const auto v1 = ZkdIndex::Build(grid, &pool, points);
-    state = v1.DetachState();
-  }
-  ZkdIndex mixed = ZkdIndex::Attach(grid, &pool, state,
-                                    btree::BTreeConfig::Compressed());
-  EXPECT_EQ(mixed.size(), points.size());
-
-  std::vector<PointRecord> extra = UniformPoints(grid, 2000, 100);
-  for (auto& rec : extra) {
-    rec.id += 1000000;
-    mixed.Insert(rec.point, rec.id);
-  }
-
-  std::vector<PointRecord> all = points;
-  all.insert(all.end(), extra.begin(), extra.end());
-  for (const auto& box : QueryBatch(grid, 16, 101)) {
-    std::vector<uint64_t> expected;
-    for (const auto& rec : all) {
-      if (box.ContainsPoint(rec.point)) expected.push_back(rec.id);
-    }
-    auto got = mixed.RangeSearch(box);
-    std::sort(got.begin(), got.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(got, expected);
   }
 }
 

@@ -134,16 +134,13 @@ TEST(KNearestTest, ThreeDimensional) {
   }
 }
 
-class KnnDynamicTreeTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(KnnDynamicTreeTest, MatchesBruteForceAfterInsertsAndDeletes) {
+TEST(KnnDynamicTreeTest, MatchesBruteForceAfterInsertsAndDeletes) {
   // Leaf and region decisions read the separators of internal pages. A
   // tree grown by single inserts and shrunk by deletes carries prefix
-  // separators, borrowed and merged leaves and duplicate runs split
+  // separators, redistributed and merged leaves and duplicate runs split
   // across pages; tiny pages make it deep. Answers must stay exact.
   const GridSpec grid{2, 10};
-  btree::BTreeConfig config =
-      GetParam() ? btree::BTreeConfig::Compressed() : btree::BTreeConfig{};
+  btree::BTreeConfig config;
   config.leaf_capacity = 8;
   config.internal_capacity = 4;
   storage::MemPager pager;
@@ -175,12 +172,6 @@ TEST_P(KnnDynamicTreeTest, MatchesBruteForceAfterInsertsAndDeletes) {
                         BruteForceKnn(kept, query, k));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(LeafFormats, KnnDynamicTreeTest,
-                         ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "v2" : "v1";
-                         });
 
 TEST(KNearestTest, PruningBeatsFullScan) {
   const GridSpec grid{2, 10};

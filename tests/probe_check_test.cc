@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "btree/audit.h"
+#include "btree/leaf_codec.h"
 #include "btree/node.h"
 #include "decompose/audit.h"
 #include "decompose/decomposer.h"
@@ -149,37 +150,32 @@ TEST(ProbeCheckDeath, BigMinAuditCatchesNonAdvancingResult) {
 
 // ----------------------------------------------------------- B-tree pages
 
+btree::LeafEntry Entry(uint64_t z, uint64_t payload) {
+  return {btree::ZKey::FromZValue(ZValue::FromInteger(z, 8)), payload};
+}
+
 TEST(ProbeCheck, LeafAuditAcceptsSortedLeaf) {
   storage::Page page;
-  btree::LeafView leaf(&page);
-  leaf.Init();
-  for (int i = 0; i < 8; ++i) {
-    leaf.InsertAt(i, {btree::ZKey::FromZValue(
-                          ZValue::FromInteger(static_cast<uint64_t>(i), 8)),
-                      static_cast<uint64_t>(i)});
-  }
-  btree::AuditLeafPage(leaf, 1, btree::LeafView::kMaxCapacity);
+  std::vector<btree::LeafEntry> entries;
+  for (uint64_t i = 0; i < 8; ++i) entries.push_back(Entry(i, i));
+  btree::V2Encode(&page, entries, storage::kInvalidPageId);
+  btree::AuditLeafV2Page(page, 1, btree::kV2MaxEntries);
 }
 
 TEST(ProbeCheckDeath, LeafAuditCatchesOutOfOrderKeys) {
   storage::Page page;
-  btree::LeafView leaf(&page);
-  leaf.Init();
-  leaf.InsertAt(0, {btree::ZKey::FromZValue(ZValue::FromInteger(7, 8)), 1});
-  // Bypass LowerBound and plant a smaller key *after* a larger one.
-  leaf.InsertAt(1, {btree::ZKey::FromZValue(ZValue::FromInteger(3, 8)), 2});
-  EXPECT_DEATH(
-      btree::AuditLeafPage(leaf, 1, btree::LeafView::kMaxCapacity), kDeath);
+  // Encode a smaller key *after* a larger one, which no tree path does.
+  const std::vector<btree::LeafEntry> entries = {Entry(7, 1), Entry(3, 2)};
+  btree::V2Encode(&page, entries, storage::kInvalidPageId);
+  EXPECT_DEATH(btree::AuditLeafV2Page(page, 1, btree::kV2MaxEntries), kDeath);
 }
 
 TEST(ProbeCheckDeath, LeafAuditCatchesOverflow) {
   storage::Page page;
-  btree::LeafView leaf(&page);
-  leaf.Init();
-  leaf.InsertAt(0, {btree::ZKey::FromZValue(ZValue::FromInteger(1, 8)), 1});
-  leaf.InsertAt(1, {btree::ZKey::FromZValue(ZValue::FromInteger(2, 8)), 2});
+  const std::vector<btree::LeafEntry> entries = {Entry(1, 1), Entry(2, 2)};
+  btree::V2Encode(&page, entries, storage::kInvalidPageId);
   // A capacity bound below the actual count must trip the occupancy check.
-  EXPECT_DEATH(btree::AuditLeafPage(leaf, 1, 1), kDeath);
+  EXPECT_DEATH(btree::AuditLeafV2Page(page, 1, 1), kDeath);
 }
 
 TEST(ProbeCheckDeath, InternalAuditCatchesInvalidChild) {

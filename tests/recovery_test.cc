@@ -403,5 +403,33 @@ TEST(DurableIndexTest, RefusesAMismatchedGrid) {
   EXPECT_FALSE(db.ok());
 }
 
+TEST(DurableIndexTest, RefusesAnOlderFormatStamp) {
+  // A "PZK2" file may hold fixed-width leaves (kind 0) or entries at the
+  // old offset; attaching it would misread every leaf, so it must fail.
+  testutil::TempFile tmp("durable_pzk2");
+  const zorder::GridSpec grid{2, 8};
+  {
+    DurableIndex::Options options;
+    options.truncate = true;
+    DurableIndex db(grid, tmp.path(), options);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.Insert(GridPoint({3, 4}), 1));
+  }
+  {
+    // Re-commit the last state under the older magic.
+    FilePager base(tmp.path(), /*truncate=*/false);
+    const auto recovered = Recover(tmp.wal_path(), &base);
+    ASSERT_FALSE(recovered.meta.empty());
+    std::vector<uint8_t> meta = recovered.meta;
+    const uint8_t kOldMagic[4] = {'P', 'Z', 'K', '2'};
+    std::copy(kOldMagic, kOldMagic + 4, meta.begin());
+    Wal wal(tmp.wal_path());
+    ASSERT_TRUE(wal.ok());
+    ASSERT_NE(wal.AppendCommit(recovered.page_count, meta), 0u);
+  }
+  DurableIndex db(grid, tmp.path());
+  EXPECT_FALSE(db.ok());
+}
+
 }  // namespace
 }  // namespace probe
