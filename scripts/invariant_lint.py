@@ -27,6 +27,11 @@ primitives may appear where:
                      comment. Every escape hatch needs a written reason or
                      the annotation rollout rots one silent opt-out at a
                      time.
+  unchecked-syscall  pread / pwrite / fsync / fdatasync / ftruncate / rename
+                     under src/storage/ whose result is discarded: a bare
+                     statement, a (void) or static_cast<void> cast, or a
+                     [[maybe_unused]] binding. Storage is fail-stop; an
+                     ignored short write or failed sync is a lost commit.
 
 Waivers: a comment `invariant-lint waiver(<rule>)` on the offending line or
 within the three lines above suppresses that rule there. Waivers are for
@@ -133,8 +138,21 @@ RAW_FSYNC_RE = re.compile(r"\b(?:::)?(fsync|fdatasync)\s*\(")
 # Pool pins: Fetch/New called on something named like a pool.
 PIN_RE = re.compile(r"\b\w*[Pp]ool\w*(?:\.|->)(?:Fetch|New)\s*\(")
 ESCAPE_RE = re.compile(r"PROBE_NO_THREAD_SAFETY_ANALYSIS")
+# A checked syscall's result feeds an expression. A call that starts a
+# statement (after `;`, `{`, `}`, `else` or an `if (...)`), a void cast
+# and a [[maybe_unused]] binding each throw it away. Matched over the
+# whole stripped text, so both sides may span lines.
+UNCHECKED_SYSCALL_RE = re.compile(
+    r"(?:(?:[;{}]|\belse\b|\))\s*"
+    r"|\(\s*void\s*\)\s*"
+    r"|static_cast\s*<\s*void\s*>\s*\(\s*"
+    r"|\[\[maybe_unused\]\][^;]*?=\s*)"
+    r"(?:(?:std)?::)?(?P<name>pread|pwrite|fsync|fdatasync|ftruncate|rename)"
+    r"\s*\(",
+    re.MULTILINE)
 
 PIN_INTERIOR = ("src/storage/", "src/btree/", "src/relational/")
+SYSCALL_CHECKED = "src/storage/"
 
 
 def rel_posix(path):
@@ -189,6 +207,14 @@ def check_file(path, raw_text, synthetic_rel=None):
             add("unscoped-pin", idx,
                 "BufferPool pin outside the index interior with no "
                 "PinBalanceScope in the file (storage/audit.h)")
+
+    if rel.startswith(SYSCALL_CHECKED):
+        stripped = "\n".join(stripped_lines)
+        for m in UNCHECKED_SYSCALL_RE.finditer(stripped):
+            add("unchecked-syscall",
+                stripped.count("\n", 0, m.start("name")) + 1,
+                f"{m.group('name')} result discarded; storage I/O is "
+                "fail-stop, so check it")
 
     # unexplained-escape works on raw lines: the *comment* is the point.
     for idx, line in enumerate(raw_lines, start=1):
@@ -279,6 +305,8 @@ def clang_query_findings(build_dir, files, query_bin):
 
 FIXTURE_EXPECTATIONS = [
     # (fixture file, synthetic tree path, rule that must fire)
+    ("bad_unchecked_syscall.cc", "src/storage/bad_unchecked_syscall.cc",
+     "unchecked-syscall"),
     ("bad_raw_mutex.cc", "src/query/bad_raw_mutex.cc", "raw-mutex"),
     ("bad_raw_thread.cc", "src/query/bad_raw_thread.cc", "raw-thread"),
     ("bad_raw_fsync.cc", "src/query/bad_raw_fsync.cc", "raw-fsync"),
@@ -287,6 +315,9 @@ FIXTURE_EXPECTATIONS = [
      "unexplained-escape"),
     ("clean.cc", "src/query/clean.cc", None),
 ]
+
+# Fixtures whose rule must fire exactly this many times.
+FIXTURE_FINDINGS = {"bad_unchecked_syscall.cc": 5}
 
 
 def self_test(fixtures_dir):
@@ -305,6 +336,12 @@ def self_test(fixtures_dir):
         elif rule not in fired:
             failures.append(f"{name}: rule {rule} did not fire (got "
                             f"{sorted(fired) or 'nothing'})")
+        elif name in FIXTURE_FINDINGS:
+            # Exact count: the fixture's checked calls must stay quiet.
+            count = sum(f.rule == rule for f in findings)
+            if count != FIXTURE_FINDINGS[name]:
+                failures.append(f"{name}: {rule} fired {count} times, "
+                                f"expected {FIXTURE_FINDINGS[name]}")
     # The waiver mechanism itself: a waived bad fixture must be quiet.
     waived = fixtures_dir / "waived_raw_fsync.cc"
     if waived.is_file():

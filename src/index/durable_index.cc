@@ -82,8 +82,7 @@ DurableIndex::DurableIndex(const zorder::GridSpec& grid,
   wal_ = std::make_unique<storage::Wal>(wal_path_);
   if (!wal_->ok()) return;
   txn_ = std::make_unique<storage::TxnPager>(fault_.get(), wal_.get());
-  pool_ = std::make_unique<storage::BufferPool>(txn_.get(), options.pool_pages,
-                                                options.policy);
+  pool_ = std::make_unique<storage::BufferPool>(txn_.get(), options.pool_pages);
 
   if (!recovery_.meta.empty()) {
     // Reopen: the boundary record's blob says what tree to attach.
@@ -195,9 +194,6 @@ DurableIndex::Snapshot DurableIndex::CreateSnapshot() {
   std::shared_ptr<SnapshotResources> stale;
   {
     util::MutexLock lock(&epoch_mutex_);
-    // A draining checkpoint is about to drop the page versions pins
-    // resolve through; new pins wait for the cut-over.
-    while (draining_) epoch_cv_.Wait(&epoch_mutex_);
     const uint64_t epoch = published_epoch_;
     stale = cached_.lock();
     if (stale && stale->epoch == epoch) {
@@ -268,7 +264,6 @@ void DurableIndex::ReleasePin(uint64_t epoch) {
     lag = published_epoch_ - epoch;
     PruneEpochsLocked();
     trim = TrimFloorLocked();
-    epoch_cv_.NotifyAll();  // a draining checkpoint may be waiting
   }
   // Version GC outside the epoch lock: a concurrently raised floor just
   // means this trim is conservative.
@@ -296,23 +291,14 @@ bool DurableIndex::Checkpoint() {
     if (!wal_->GroupCommit(lsn)) return false;
     Publish(epoch);
   }
-  // The cut-over clears every parked page version, so every snapshot pin
-  // must be gone first. New snapshots queue behind draining_; Apply is
-  // excluded by apply_mutex_. A snapshot held across this call deadlocks
-  // by contract — release pins before checkpointing.
+  // Pins taken from here on sit at or above the published epoch, so the
+  // floor read now stays conservative for the whole force.
+  uint64_t floor = 0;
   {
     util::MutexLock epochs(&epoch_mutex_);
-    draining_ = true;
-    while (pin_count_ != 0) epoch_cv_.Wait(&epoch_mutex_);
+    floor = TrimFloorLocked();
   }
-  const bool committed = txn_->Checkpoint(MetaBlob(txn_->committed_epoch()));
-  {
-    util::MutexLock epochs(&epoch_mutex_);
-    draining_ = false;
-    PruneEpochsLocked();
-    epoch_cv_.NotifyAll();  // wake snapshot creators queued on the drain
-  }
-  return committed;
+  return txn_->Checkpoint(MetaBlob(txn_->committed_epoch()), floor);
 }
 
 }  // namespace probe::index

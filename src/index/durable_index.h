@@ -34,7 +34,9 @@
 /// them with the tree's re-attach state serialized into the commit
 /// record. Either the whole batch is recoverable or none of it is.
 /// Checkpoint() bounds the log (and recovery time) by forcing committed
-/// pages into the database file and restarting the log.
+/// pages into the database file and restarting the log. It never waits
+/// for readers: a base page a pinned reader still resolves to is copied
+/// aside before the force overwrites it (TxnPager's copy-on-checkpoint).
 ///
 /// ## Concurrency: group commit and epoch snapshots
 ///
@@ -54,8 +56,8 @@
 /// and a ZkdIndex attached from that epoch's recorded tree state — so
 /// RangeSearch/CountBox/KNearest on the snapshot return exactly what a
 /// serial replay of batches 1..E would, no matter how many writers are
-/// landing batches concurrently. Pinned epochs block version GC and
-/// Checkpoint's cut-over; drop the Snapshot to release the pin.
+/// landing batches concurrently. Pinned epochs hold back version GC;
+/// drop the Snapshot to release the pin.
 ///
 /// Queries that don't need isolation from concurrent writers can still go
 /// through index() — but index() is the *live* tree, synchronized with
@@ -74,7 +76,6 @@ class DurableIndex {
     size_t pool_pages = 256;
     /// Frames for each snapshot's private pool.
     size_t snapshot_pool_pages = 64;
-    storage::EvictionPolicy policy = storage::EvictionPolicy::kLru;
     /// Wipe any existing database and log instead of recovering them.
     bool truncate = false;
   };
@@ -142,9 +143,8 @@ class DurableIndex {
 
   /// Pins the newest published epoch and returns a consistent read view
   /// of it (see file comment). Thread-safe; cheap when a snapshot of the
-  /// same epoch is already live (they share one view). Blocks while a
-  /// checkpoint is draining. !ok() result only on an engine that never
-  /// opened.
+  /// same epoch is already live (they share one view). !ok() result only
+  /// on an engine that never opened.
   Snapshot CreateSnapshot();
 
   /// Newest published (durable, reader-visible) epoch. The empty-tree
@@ -156,9 +156,8 @@ class DurableIndex {
   uint64_t published_size() const;
 
   /// Forces committed state into the database file and restarts the log.
-  /// Thread-safe, but **blocks until every Snapshot pin is released** —
-  /// the cut-over drops all parked page versions, so no reader may still
-  /// depend on one.
+  /// Thread-safe; excludes Apply, but live Snapshots keep answering their
+  /// epochs and new ones may be created meanwhile.
   bool Checkpoint();
 
   /// Test seams: the log (arm WalFaultPlan) and the injected base pager
@@ -193,14 +192,14 @@ class DurableIndex {
   // epoch states.
   void Publish(uint64_t epoch);
 
-  // Snapshot teardown: unpin, GC epoch states and page versions, wake a
-  // draining checkpoint.
+  // Snapshot teardown: unpin, GC epoch states and page versions.
   void ReleasePin(uint64_t epoch);
 
   // Drops unpinned epoch states older than the published one.
   void PruneEpochsLocked() PROBE_REQUIRES(epoch_mutex_);
   // Oldest epoch whose page versions must be kept for a pin (or the
-  // published epoch when nothing is pinned) — TxnPager::TrimVersions arg.
+  // published epoch when nothing is pinned) — the floor TrimVersions and
+  // Checkpoint take.
   uint64_t TrimFloorLocked() const PROBE_REQUIRES(epoch_mutex_);
 
   zorder::GridSpec grid_;
@@ -228,14 +227,10 @@ class DurableIndex {
   // Epoch bookkeeping: which epochs exist, which is published, who pins
   // what.
   mutable util::Mutex epoch_mutex_;
-  // Signals pin releases (to a draining checkpoint) and drain completion
-  // (to blocked CreateSnapshot calls).
-  util::CondVar epoch_cv_;
   uint64_t published_epoch_ PROBE_GUARDED_BY(epoch_mutex_) = 0;
   std::map<uint64_t, EpochState> states_ PROBE_GUARDED_BY(epoch_mutex_);
   std::map<uint64_t, int> pins_ PROBE_GUARDED_BY(epoch_mutex_);
   int pin_count_ PROBE_GUARDED_BY(epoch_mutex_) = 0;
-  bool draining_ PROBE_GUARDED_BY(epoch_mutex_) = false;
   // Live view of the published epoch, shared by concurrent snapshots.
   std::weak_ptr<SnapshotResources> cached_ PROBE_GUARDED_BY(epoch_mutex_);
 };

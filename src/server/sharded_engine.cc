@@ -21,10 +21,6 @@ ShardedEngine::ShardedEngine(const zorder::GridSpec& grid,
   const int n = std::max(1, options.shards);
   shards_.resize(static_cast<size_t>(n));
   index::DurableIndex::Options shard_options;
-  shard_options.config = options.config;
-  shard_options.pool_pages = options.pool_pages_per_shard;
-  shard_options.snapshot_pool_pages = options.snapshot_pool_pages_per_shard;
-  shard_options.policy = options.policy;
   shard_options.truncate = options.truncate;
   // Opening runs recovery, which is I/O-bound per shard and independent
   // across them — recover in parallel like everything else.
@@ -124,15 +120,6 @@ bool ShardedEngine::Apply(std::span<const index::DurableIndex::Op> ops) {
 
 bool ShardedEngine::Checkpoint() {
   if (!ok_) return false;
-  // Serial on the calling thread, one shard at a time — NOT ParallelFor.
-  // A shard's checkpoint blocks in its pin-drain for as long as queries
-  // hold that shard's snapshot pins, and CreateView pins shards in index
-  // order; draining two shards concurrently (whether via pool workers or
-  // two Checkpoint callers, hence the mutex) can therefore cycle: each
-  // drain waiting on a view that is itself blocked at the other draining
-  // shard. With one drain at a time every pin holder makes progress. See
-  // the header comment.
-  util::MutexLock lock(&checkpoint_mutex_);
   bool all_ok = true;
   for (auto& shard : shards_) {
     if (!shard->Checkpoint()) all_ok = false;

@@ -13,8 +13,6 @@
 #include "index/durable_index.h"
 #include "index/nearest.h"
 #include "index/zkd_index.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "zorder/grid.h"
 
@@ -57,15 +55,10 @@
 
 namespace probe::server {
 
-/// Construction options; `config`/`pool_pages`/`policy`/`truncate` apply
-/// to every shard.
+/// Construction options. Every shard is a DurableIndex with default
+/// options; `truncate` applies to all of them.
 struct ShardedEngineOptions {
   int shards = 1;
-  size_t pool_pages_per_shard = 256;
-  size_t snapshot_pool_pages_per_shard = 64;
-  /// Every shard's tree shape, as in DurableIndex::Options.
-  btree::BTreeConfig config;
-  storage::EvictionPolicy policy = storage::EvictionPolicy::kLru;
   bool truncate = false;
 };
 
@@ -80,8 +73,8 @@ class ShardedEngine {
 
   /// A pinned per-shard read state: shard i's queries run against shard
   /// i's newest published epoch as of CreateView(). Holding a View keeps
-  /// those epochs pinned (blocking checkpoints and version GC); drop it
-  /// when done. Copyable — copies share the pins.
+  /// those epochs pinned (holding back version GC); drop it when done.
+  /// Copyable — copies share the pins.
   class View {
    public:
     View() = default;
@@ -143,17 +136,8 @@ class ShardedEngine {
   /// shard. True iff every involved shard committed.
   bool Apply(std::span<const index::DurableIndex::Op> ops);
 
-  /// Checkpoints every shard (bounding each shard's log). Blocks until
-  /// in-flight Views release their pins. Safe to overlap with queries and
-  /// Apply. Shards are checkpointed one at a time, on the calling thread:
-  /// a shard's checkpoint drains that shard's snapshot pins while
-  /// CreateView acquires pins shard by shard, so draining two shards at
-  /// once could deadlock in a cycle (view A pins shard 0 and waits on
-  /// shard 1's drain, view B pins shard 1 and waits on shard 0's drain,
-  /// each drain waits on the other view's pin). One drain at a time —
-  /// enforced across concurrent Checkpoint calls by checkpoint_mutex_ —
-  /// means a view blocked at the draining shard never holds that shard's
-  /// pin, so every pin holder can finish and the drain always completes.
+  /// Checkpoints every shard in turn (bounding each shard's log). Safe to
+  /// overlap with queries, Views and Apply; never waits for readers.
   bool Checkpoint();
 
   /// Scatter-gather range query: identical, element for element, to the
@@ -222,11 +206,6 @@ class ShardedEngine {
   // snapshots for readers), so the query and write paths need no engine
   // lock.
   std::vector<std::unique_ptr<index::DurableIndex>> shards_;
-  // Serializes Checkpoint calls so at most one shard is ever draining its
-  // snapshot pins (see Checkpoint). Leaf: held across per-shard
-  // DurableIndex::Checkpoint calls but never while touching another
-  // engine-level lock.
-  util::Mutex checkpoint_mutex_;
   bool ok_ = false;
 };
 

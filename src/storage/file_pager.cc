@@ -23,27 +23,27 @@ FilePager::~FilePager() {
 }
 
 PageId FilePager::Allocate() {
-  assert(ok());
+  assert(fd_ >= 0);
   const PageId id = page_count_++;
   // Extend the file with a zeroed page so reads of fresh pages are valid.
   Page zero;
-  const ssize_t written =
-      ::pwrite(fd_, zero.data(), Page::kSize,
-               static_cast<off_t>(id) * static_cast<off_t>(Page::kSize));
-  assert(written == static_cast<ssize_t>(Page::kSize));
-  (void)written;
+  Check(::pwrite(fd_, zero.data(), Page::kSize,
+                 static_cast<off_t>(id) * static_cast<off_t>(Page::kSize)) ==
+        static_cast<ssize_t>(Page::kSize));
   ++stats_.allocations;
   return id;
 }
 
 void FilePager::Read(PageId id, Page* out) {
-  assert(ok());
+  assert(fd_ >= 0);
   assert(id < page_count_);
   const ssize_t bytes =
       ::pread(fd_, out->data(), Page::kSize,
               static_cast<off_t>(id) * static_cast<off_t>(Page::kSize));
-  assert(bytes == static_cast<ssize_t>(Page::kSize));
-  (void)bytes;
+  if (bytes != static_cast<ssize_t>(Page::kSize)) {
+    Check(false);
+    out->Clear();  // no half-read page reaches a caller
+  }
   ++stats_.reads;
   if (obs::Enabled()) {
     obs::StorageMetrics& m = obs::StorageMetrics::Default();
@@ -53,13 +53,11 @@ void FilePager::Read(PageId id, Page* out) {
 }
 
 void FilePager::Write(PageId id, const Page& page) {
-  assert(ok());
+  assert(fd_ >= 0);
   assert(id < page_count_);
-  const ssize_t bytes =
-      ::pwrite(fd_, page.data(), Page::kSize,
-               static_cast<off_t>(id) * static_cast<off_t>(Page::kSize));
-  assert(bytes == static_cast<ssize_t>(Page::kSize));
-  (void)bytes;
+  Check(::pwrite(fd_, page.data(), Page::kSize,
+                 static_cast<off_t>(id) * static_cast<off_t>(Page::kSize)) ==
+        static_cast<ssize_t>(Page::kSize));
   ++stats_.writes;
   if (obs::Enabled()) {
     obs::StorageMetrics& m = obs::StorageMetrics::Default();
@@ -69,20 +67,19 @@ void FilePager::Write(PageId id, const Page& page) {
 }
 
 void FilePager::Sync() {
-  assert(ok());
+  assert(fd_ >= 0);
   // invariant-lint waiver(raw-fsync): this is Pager::Sync's contract —
   // the checkpoint force path syncs the *base* file here; WAL durability
   // still flows exclusively through storage/wal.
-  ::fsync(fd_);
+  Check(::fsync(fd_) == 0);
   if (obs::Enabled()) obs::StorageMetrics::Default().pager_syncs->Increment();
 }
 
 void FilePager::TruncateTo(uint32_t page_count) {
-  assert(ok());
+  assert(fd_ >= 0);
   const off_t size =
       static_cast<off_t>(page_count) * static_cast<off_t>(Page::kSize);
-  [[maybe_unused]] const int rc = ::ftruncate(fd_, size);
-  assert(rc == 0);
+  Check(::ftruncate(fd_, size) == 0);
   page_count_ = page_count;
 }
 

@@ -1,6 +1,7 @@
 #ifndef PROBE_STORAGE_FILE_PAGER_H_
 #define PROBE_STORAGE_FILE_PAGER_H_
 
+#include <atomic>
 #include <string>
 
 #include "storage/pager.h"
@@ -15,10 +16,15 @@
 /// and available to applications that want real files; the experiment
 /// benches stay on MemPager because their metric — page accesses — is
 /// medium-independent.
+///
+/// Fail-stop: a failed or short pread/pwrite/fsync/ftruncate turns ok()
+/// false for good. The pager keeps no guess at what reached the file; its
+/// owner (TxnPager's checkpoint, recovery) checks ok() and stops.
 
 namespace probe::storage {
 
-/// Pager over a file. Not thread-safe (matching the rest of the engine).
+/// Pager over a file. Not thread-safe (matching the rest of the engine),
+/// except that ok() may be read while another thread does I/O.
 class FilePager final : public Pager {
  public:
   /// Opens (or creates) `path`. `truncate` wipes existing contents;
@@ -29,8 +35,9 @@ class FilePager final : public Pager {
   FilePager(const FilePager&) = delete;
   FilePager& operator=(const FilePager&) = delete;
 
-  /// True iff the file opened successfully; all other calls require it.
-  bool ok() const override { return fd_ >= 0; }
+  /// True iff the file opened and no call on it has failed since; all
+  /// other calls require that it opened.
+  bool ok() const override { return fd_ >= 0 && !failed_.load(); }
 
   PageId Allocate() override;
   void Read(PageId id, Page* out) override;
@@ -48,7 +55,11 @@ class FilePager final : public Pager {
   void TruncateTo(uint32_t page_count);
 
  private:
+  // Makes ok() false for good unless `done` is true.
+  void Check(bool done) { if (!done) failed_.store(true); }
+
   int fd_ = -1;
+  std::atomic<bool> failed_{false};
   uint32_t page_count_ = 0;
   PagerStats stats_;
 };

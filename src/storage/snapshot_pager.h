@@ -21,8 +21,7 @@
 /// bug, not a recoverable condition.
 ///
 /// Lifetime is managed by DurableIndex::Snapshot, which pins the epoch
-/// (blocking version GC and checkpoint cut-over) for as long as the view
-/// exists.
+/// (holding back version GC) for as long as the view exists.
 
 namespace probe::storage {
 

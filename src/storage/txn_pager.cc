@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "obs/runtime_metrics.h"
+#include "util/yieldpoint.h"
 
 namespace probe::storage {
 
@@ -24,21 +25,8 @@ PageId TxnPager::Allocate() {
 
 void TxnPager::Read(PageId id, Page* out) {
   assert(id < page_count());
-  util::MutexLock lock(&versions_mutex_);
-  ++stats_.reads;
-  const auto it = versions_.find(id);
-  if (it != versions_.end()) {
-    // The writer's view: the newest parked image, committed or not.
-    *out = it->second.back().page;
-    return;
-  }
-  if (id < base_->page_count()) {
-    base_->Read(id, out);
-    return;
-  }
-  // Allocated since the last checkpoint and never written back: zeros,
-  // the fresh-page contract of every pager here.
-  out->Clear();
+  // The writer's view: the newest image, committed or not.
+  ReadAtEpoch(id, UINT64_MAX, out);
 }
 
 void TxnPager::ReadAtEpoch(PageId id, uint64_t epoch, Page* out) {
@@ -105,20 +93,53 @@ bool TxnPager::Commit(std::span<const uint8_t> meta) {
   return wal_->GroupCommit(lsn);
 }
 
-void TxnPager::TrimVersions(uint64_t min_epoch) {
+void TxnPager::TrimVersions(uint64_t floor) {
   util::MutexLock lock(&versions_mutex_);
-  for (auto& [id, vec] : versions_) {
-    // Keep the newest version with epoch <= min_epoch (the anchor every
+  TrimLocked(floor);
+}
+
+void TxnPager::TrimLocked(uint64_t floor) {
+  for (auto it = versions_.begin(); it != versions_.end();) {
+    std::vector<PageVersion>& vec = it->second;
+    // Keep the newest version with epoch <= floor (the anchor every
     // surviving pin resolves to) and everything after it.
     size_t anchor = 0;
     for (size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i].epoch <= min_epoch) anchor = i;
+      if (vec[i].epoch <= floor) anchor = i;
     }
-    if (anchor > 0) vec.erase(vec.begin(), vec.begin() + anchor);
+    vec.erase(vec.begin(), vec.begin() + static_cast<ptrdiff_t>(anchor));
+    // Retention: once the one version every reader resolves to is the
+    // base file's page, the entry has nothing left to add.
+    if (vec.size() == 1 && vec[0].epoch <= floor &&
+        vec[0].epoch <= checkpoint_epoch_) {
+      it = versions_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
-bool TxnPager::Checkpoint(std::span<const uint8_t> meta) {
+void TxnPager::ForceLocked(uint32_t count, uint64_t floor) {
+  while (base_->page_count() < count) base_->Allocate();
+  // Park before any write, so not even a torn write reaches a reader: a
+  // reader at the floor may still resolve a page the force overwrites to
+  // the base file, so that page keeps the image the reader resolves to.
+  for (auto& [id, vec] : versions_) {
+    if (vec.back().epoch > checkpoint_epoch_ && floor < vec.front().epoch) {
+      vec.insert(vec.begin(), PageVersion{0, Page()});
+      base_->Read(id, &vec.front().page);
+    }
+  }
+  versions_mutex_.Unlock();
+  util::SchedulePoint("checkpoint.force");
+  versions_mutex_.Lock();
+  for (const auto& [id, vec] : versions_) {
+    // Entries whose newest version the last checkpoint wrote are skipped.
+    if (vec.back().epoch > checkpoint_epoch_) base_->Write(id, vec.back().page);
+  }
+}
+
+bool TxnPager::Checkpoint(std::span<const uint8_t> meta, uint64_t floor) {
   util::SingleWriterScope writer(&writer_guard_, "TxnPager::Checkpoint");
   if (!ok()) return false;
   // Forcing mid-batch would push uncommitted images into the base file —
@@ -131,24 +152,21 @@ bool TxnPager::Checkpoint(std::span<const uint8_t> meta) {
   if (!wal_->Sync()) return false;
 
   const uint32_t count = page_count();
-  while (base_->page_count() < count) base_->Allocate();
+  const uint64_t epoch = committed_epoch();
   {
-    // The owner drained every pinned snapshot before calling, so the
-    // older versions dropped with the table below have no readers left.
     util::MutexLock lock(&versions_mutex_);
-    for (const auto& [id, vec] : versions_) {
-      base_->Write(id, vec.back().page);
-    }
+    ForceLocked(count, floor);
   }
   base_->Sync();
-  if (!base_->ok()) return false;  // injected crash mid-force
+  if (!base_->ok()) return false;  // the force or its sync failed
 
   // Atomic cut-over: after this the checkpoint record alone describes the
-  // database, and the version table's job is done.
+  // database, and the version table only serves pinned readers.
   if (wal_->RewriteWithCheckpoint(count, meta) == 0) return false;
   {
     util::MutexLock lock(&versions_mutex_);
-    versions_.clear();
+    checkpoint_epoch_ = epoch;
+    TrimLocked(floor);
   }
   if (obs::Enabled()) {
     obs::StorageMetrics& m = obs::StorageMetrics::Default();
@@ -164,13 +182,6 @@ bool TxnPager::Checkpoint(std::span<const uint8_t> meta) {
 size_t TxnPager::pending_pages() const {
   util::MutexLock lock(&versions_mutex_);
   return versions_.size();
-}
-
-size_t TxnPager::pending_versions() const {
-  util::MutexLock lock(&versions_mutex_);
-  size_t n = 0;
-  for (const auto& [id, vec] : versions_) n += vec.size();
-  return n;
 }
 
 }  // namespace probe::storage

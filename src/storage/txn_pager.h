@@ -30,28 +30,41 @@
 ///     logged so far is now the recoverable state.
 ///   * `Checkpoint` — only at a commit boundary — forces the pending
 ///     pages into the base file, fsyncs it, and atomically replaces the
-///     log with a single checkpoint record (force on checkpoint). The
-///     pending table empties and the log length resets.
+///     log with a single checkpoint record (force on checkpoint). The log
+///     length resets; the pending table keeps only what pinned readers
+///     still need (below).
 ///
 /// Epochs and snapshot reads. Each commit advances the pager's *epoch*;
 /// the pending table is multi-version, tagging every parked image with the
 /// epoch of the commit that (will) cover it. `ReadAtEpoch(id, E)` returns
 /// the page as of commit E — the newest parked version with epoch <= E,
-/// falling back to the base file (whose bytes are exactly the last
-/// checkpoint, i.e. older than every parked version). A reader that pins
+/// falling back to the base file when none is that old (the base page is
+/// then the one E saw: see copy-on-checkpoint below). A reader that pins
 /// epoch E therefore sees a frozen, committed state while the writer keeps
 /// parking versions for E+1, E+2, ... on top — copy-on-write at page
 /// granularity, with the no-steal table doing double duty as the version
-/// store. `TrimVersions(min)` garbage-collects versions superseded for
-/// every epoch >= min (the oldest still-pinned epoch); the steady state
+/// store. `TrimVersions(floor)` garbage-collects versions superseded for
+/// every epoch >= floor (the oldest still-pinned epoch); the steady state
 /// with no pinned readers is one version per written page, the same
 /// footprint the single-version table had.
+///
+/// Copy-on-checkpoint. A checkpoint never waits for readers: it is handed
+/// the same pin floor, and before the force overwrites base page p while
+/// the floor predates p's oldest parked version — so some reader may
+/// still resolve p to the base file — it parks p's current base image at
+/// the front of p's versions, tagged epoch 0. Old readers then resolve to
+/// that copy and never see the overwrite (or a torn half of it). One
+/// retention rule, shared by TrimVersions and Checkpoint, decides when a
+/// page's entry leaves the table: its newest version is the only one
+/// left, is at or below the floor, and is already in the base file (its
+/// epoch is at most the last checkpoint's). With no pins a checkpoint
+/// therefore empties the table.
 ///
 /// Concurrency contract: mutations (Allocate/Write/Commit/Checkpoint)
 /// remain single-writer, serialized by the owner (DurableIndex's apply
 /// lock) and audited by SingleWriterGuard. Reads — Read, ReadAtEpoch —
-/// may run concurrently with each other and with the writer; the version
-/// table has its own leaf mutex.
+/// may run concurrently with each other and with the writer, Checkpoint
+/// included; the version table has its own leaf mutex.
 ///
 /// Reads prefer the pending table (it holds the newest images), then the
 /// base file; pages allocated but never yet written read as zeros, the
@@ -113,25 +126,24 @@ class TxnPager final : public Pager {
     committed_epoch_.store(epoch, std::memory_order_release);
   }
 
-  /// Drops parked versions superseded for every epoch >= `min_epoch` (the
+  /// Drops parked versions superseded for every epoch >= `floor` (the
   /// oldest epoch any reader still pins; pass committed_epoch() when none
-  /// do). Never drops a page's newest version.
-  void TrimVersions(uint64_t min_epoch);
+  /// do), then the entries the retention rule releases (see file comment).
+  /// Never drops a kept page's newest version.
+  void TrimVersions(uint64_t floor);
 
   /// Forces the committed state into the base file and resets the log to a
-  /// single checkpoint record carrying `meta`. Requires a clean commit
-  /// boundary — returns false (and does nothing) if writes arrived since
-  /// the last Commit, or on a dead engine — and no concurrently pinned
-  /// epochs (the owner drains snapshot readers first; parked versions are
-  /// all dropped here).
-  bool Checkpoint(std::span<const uint8_t> meta);
+  /// single checkpoint record carrying `meta`. `floor` is TrimVersions'
+  /// argument: no reader pins an epoch below it, now or later. Readers keep
+  /// running throughout (copy-on-checkpoint, see file comment). Requires a
+  /// clean commit boundary — returns false (and does nothing) if writes
+  /// arrived since the last Commit, or on a dead engine. A false return
+  /// after the force began keeps the log and every parked version.
+  bool Checkpoint(std::span<const uint8_t> meta, uint64_t floor);
 
-  /// Pages with at least one parked version awaiting the next checkpoint.
+  /// Pages with at least one parked version: awaiting the next checkpoint,
+  /// or kept for a reader older than the last one.
   size_t pending_pages() const;
-
-  /// Parked versions across all pages (== pending_pages() when no reader
-  /// pins an old epoch).
-  size_t pending_versions() const;
 
   /// Writes since the last successful Commit (must be zero to checkpoint).
   uint64_t uncommitted_writes() const { return uncommitted_writes_; }
@@ -148,6 +160,15 @@ class TxnPager final : public Pager {
     Page page;
   };
 
+  // TrimVersions' body; also the end of a successful Checkpoint.
+  void TrimLocked(uint64_t floor) PROBE_REQUIRES(versions_mutex_);
+  // Checkpoint's force: extends the base file to `count` pages, parks the
+  // old base image of each page a reader at `floor` may resolve to it,
+  // then writes every entry's newest version not yet in the base. Drops
+  // the lock once, between parking and writing.
+  void ForceLocked(uint32_t count, uint64_t floor)
+      PROBE_REQUIRES(versions_mutex_);
+
   Pager* base_;
   Wal* wal_;
   std::atomic<uint32_t> count_;
@@ -155,8 +176,8 @@ class TxnPager final : public Pager {
   uint64_t uncommitted_writes_ = 0;
   std::atomic<uint64_t> committed_epoch_{0};
 
-  // Leaf lock: guards the version table and serializes base-file reads
-  // against the checkpoint force. Acquired after the buffer pool's locks
+  // Leaf lock: guards the version table and serializes every base-file
+  // call but the checkpoint's Sync. Acquired after the buffer pool's locks
   // and after the WAL's (Write appends to the log *before* parking);
   // nothing is acquired while holding it.
   mutable util::Mutex versions_mutex_;
@@ -164,6 +185,9 @@ class TxnPager final : public Pager {
   // page are in ascending epoch order.
   std::map<PageId, std::vector<PageVersion>> versions_
       PROBE_GUARDED_BY(versions_mutex_);
+  // Epoch of the last successful checkpoint: a page's versions up to it
+  // are in the base file.
+  uint64_t checkpoint_epoch_ PROBE_GUARDED_BY(versions_mutex_) = 0;
 
   // I/O counters; bumped under versions_mutex_, read unlocked via the
   // Pager interface (quiescent reads only — see stats()).

@@ -103,10 +103,10 @@ class ThreadPool {
   // Pops queued tasks until stopping_. Deliberately the ONLY place queue
   // tasks are popped: a ParallelFor caller drains its own batch via the
   // shared iteration counter and never executes foreign queue tasks, so a
-  // lane that blocks inside fn (e.g. on a condition another thread will
-  // signal) can never have picked up an unrelated task that waits, in
-  // turn, on that lane — a caller-drain helper here would reintroduce
-  // that deadlock.
+  // lane that blocks inside fn (e.g. a shard's Apply waiting, as a
+  // group-commit follower, on another thread's fsync) can never have
+  // picked up an unrelated task that waits, in turn, on that lane — a
+  // caller-drain helper here would make that deadlock possible.
   void WorkerLoop();
 
   // Completion bookkeeping for WorkerLoop: decrements in_flight_ and

@@ -18,8 +18,9 @@
 // kinds), well past every record boundary the script can produce — plus
 // 200 *concurrent-writer* cycles that kill the log mid-group-commit and
 // check recovery is a durable prefix of the commit order (see
-// ConcurrentWritersDieMidGroupCommit). scripts/check.sh runs this under
-// ASan via the `recovery` ctest label.
+// ConcurrentWritersDieMidGroupCommit), and 30 torn checkpoints under a
+// live snapshot (SnapshotHeldAcrossTornCheckpointKeepsItsEpoch).
+// scripts/check.sh runs this under ASan via the `recovery` ctest label.
 
 #include <algorithm>
 #include <atomic>
@@ -112,6 +113,22 @@ std::vector<uint64_t> OracleScan(const std::vector<Record>& oracle,
   return ids;
 }
 
+// Range scans over `index` equal the oracle's, on the whole space and two
+// partial boxes.
+void ExpectMatchesOracle(const index::ZkdIndex& index,
+                         const std::vector<Record>& oracle) {
+  const GridBox boxes[] = {
+      GridBox::Make2D(0, kSide - 1, 0, kSide - 1),
+      GridBox::Make2D(5, 30, 10, 40),
+      GridBox::Make2D(32, kSide - 1, 0, 20),
+  };
+  for (const GridBox& box : boxes) {
+    auto got = index.RangeSearch(box);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, OracleScan(oracle, box));
+  }
+}
+
 DurableIndex::Options SmallOptions() {
   DurableIndex::Options options;
   options.config.leaf_capacity = 8;  // deep-ish tree from few records
@@ -150,16 +167,7 @@ void RunCycle(const std::vector<std::vector<Op>>& script,
   EXPECT_TRUE(db.index().tree().CheckInvariants());
   EXPECT_EQ(db.index().size(), oracle.size());
 
-  const GridBox boxes[] = {
-      GridBox::Make2D(0, kSide - 1, 0, kSide - 1),
-      GridBox::Make2D(5, 30, 10, 40),
-      GridBox::Make2D(32, kSide - 1, 0, 20),
-  };
-  for (const GridBox& box : boxes) {
-    auto got = db.index().RangeSearch(box);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, OracleScan(oracle, box));
-  }
+  ExpectMatchesOracle(db.index(), oracle);
 
   // Recovered databases are not read-only relics: new batches commit.
   EXPECT_TRUE(db.Insert(GridPoint({1, 1}), 999999));
@@ -196,6 +204,54 @@ TEST(CrashMatrixTest, BaseFileDiesAtEveryCheckpointWrite) {
                });
     }
   }
+}
+
+// A snapshot pinned before a checkpoint whose force tears a base page (or,
+// at late crash points, completes) still answers its own epoch exactly:
+// the force copies aside every base page an older pin still resolves to
+// before overwriting it, so the torn page never reaches the reader. A
+// snapshot of the published epoch, taken afterwards, answers it too.
+TEST(CrashMatrixTest, SnapshotHeldAcrossTornCheckpointKeepsItsEpoch) {
+  const auto script = BuildScript();
+  const zorder::GridSpec grid{2, 6};
+  int torn = 0;
+  for (uint64_t w = 0; w < 30; ++w) {
+    SCOPED_TRACE("base write " + std::to_string(w));
+    testutil::TempFile tmp("crash_matrix_pin");
+    DurableIndex::Options options = SmallOptions();
+    options.truncate = true;
+    DurableIndex db(grid, tmp.path(), options);
+    ASSERT_TRUE(db.ok());
+    std::vector<Record> oracle;
+    // Half the script, checkpointed, so the base file holds the pages the
+    // pinned snapshot reads.
+    for (int b = 0; b < kBatches / 2; ++b) {
+      ASSERT_TRUE(db.Apply(script[b]));
+      ASSERT_NO_FATAL_FAILURE(FoldBatch(script[b], &oracle));
+    }
+    ASSERT_TRUE(db.Checkpoint());
+    // Not queried until after the crash: its pool starts cold.
+    DurableIndex::Snapshot pinned = db.CreateSnapshot();
+    const std::vector<Record> pinned_oracle = oracle;
+    for (int b = kBatches / 2; b < kBatches; ++b) {
+      ASSERT_TRUE(db.Apply(script[b]));
+      ASSERT_NO_FATAL_FAILURE(FoldBatch(script[b], &oracle));
+    }
+
+    storage::FaultInjectingPager& faults = db.base_faults();
+    faults.SetFaultPlan({.kind = storage::FaultPlan::Kind::kShortWrite,
+                         .fail_after_writes = faults.writes_attempted() + w,
+                         .seed = 0xA5A5A5A5u ^ w});
+    const bool checkpointed = db.Checkpoint();
+    EXPECT_EQ(checkpointed, !faults.crashed());
+    if (faults.crashed()) ++torn;
+
+    ExpectMatchesOracle(pinned.index(), pinned_oracle);
+    const DurableIndex::Snapshot latest = db.CreateSnapshot();
+    ASSERT_TRUE(latest.ok());
+    ExpectMatchesOracle(latest.index(), oracle);
+  }
+  EXPECT_GT(torn, 0) << "no crash point landed inside the force";
 }
 
 // The concurrent-writer kill matrix: three writers race insert batches

@@ -3,6 +3,9 @@
 // repair, and the full DurableIndex reopen path (including planning
 // queries against a recovered index).
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -173,7 +176,7 @@ TEST(RecoveryTest, CheckpointForcesBaseAndResetsLog) {
     pool.FlushAll();
     ASSERT_TRUE(txn.Commit(kMeta));
     const uint64_t log_before = wal.size_bytes();
-    ASSERT_TRUE(txn.Checkpoint(kMeta));
+    ASSERT_TRUE(txn.Checkpoint(kMeta, txn.committed_epoch()));
     EXPECT_LT(wal.size_bytes(), log_before);
     EXPECT_EQ(txn.pending_pages(), 0u);
     EXPECT_EQ(base.page_count(), 6u);  // forced
@@ -199,9 +202,9 @@ TEST(RecoveryTest, CheckpointRefusesMidBatch) {
   const PageId id = txn.Allocate();
   txn.Write(id, page);
   // Forcing uncommitted images would violate no-steal.
-  EXPECT_FALSE(txn.Checkpoint(kMeta));
+  EXPECT_FALSE(txn.Checkpoint(kMeta, txn.committed_epoch()));
   ASSERT_TRUE(txn.Commit(kMeta));
-  EXPECT_TRUE(txn.Checkpoint(kMeta));
+  EXPECT_TRUE(txn.Checkpoint(kMeta, txn.committed_epoch()));
 }
 
 TEST(RecoveryTest, TornBasePageFromCrashedCheckpointIsRepaired) {
@@ -226,7 +229,7 @@ TEST(RecoveryTest, TornBasePageFromCrashedCheckpointIsRepaired) {
     faulty.SetFaultPlan({.kind = storage::FaultPlan::Kind::kShortWrite,
                          .fail_after_writes = 2,
                          .seed = 0xC0FFEE});
-    EXPECT_FALSE(txn.Checkpoint(kMeta));
+    EXPECT_FALSE(txn.Checkpoint(kMeta, txn.committed_epoch()));
     EXPECT_TRUE(faulty.crashed());
   }
   FilePager base(tmp.path());
@@ -240,6 +243,62 @@ TEST(RecoveryTest, TornBasePageFromCrashedCheckpointIsRepaired) {
     EXPECT_EQ(ReadPage(&base, static_cast<PageId>(i)),
               900 + static_cast<uint64_t>(i));
   }
+}
+
+// ------------------------------------------------------------ fail-stop
+// FilePager I/O: devices that fail on purpose. A failed or short call
+// must turn ok() false for good. A case skips where its device is absent.
+
+// True when this platform refuses fsync on /dev/null (EINVAL on Linux).
+bool DevNullFsyncFails() {
+  const int fd = ::open("/dev/null", O_RDWR);
+  if (fd < 0) return false;
+  const bool fails = ::fsync(fd) != 0;
+  ::close(fd);
+  return fails;
+}
+
+TEST(FilePagerTest, FailedFsyncStaysFailed) {
+  if (!DevNullFsyncFails()) GTEST_SKIP() << "/dev/null missing or syncable";
+  FilePager pager("/dev/null");
+  ASSERT_TRUE(pager.ok());
+  pager.Allocate();  // writes to /dev/null succeed
+  ASSERT_TRUE(pager.ok());
+  pager.Sync();
+  EXPECT_FALSE(pager.ok());
+  pager.Allocate();  // a later good call does not clear the failure
+  EXPECT_FALSE(pager.ok());
+}
+
+TEST(FilePagerTest, FailedWriteStaysFailed) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  FilePager pager("/dev/full");
+  ASSERT_TRUE(pager.ok());
+  pager.Allocate();  // ENOSPC
+  EXPECT_FALSE(pager.ok());
+}
+
+// A base sync that fails must stop the checkpoint before the log is
+// rewritten: the log is then still the only durable copy of the batch.
+TEST(RecoveryTest, FailedBaseSyncKeepsTheLog) {
+  if (!DevNullFsyncFails()) GTEST_SKIP() << "/dev/null missing or syncable";
+  testutil::TempFile tmp("rec_failed_base_sync");
+  FilePager base("/dev/null");
+  Wal wal(tmp.wal_path(), /*truncate=*/true);
+  TxnPager txn(&base, &wal);
+  storage::BufferPool pool(&txn, 8);
+  for (int i = 0; i < 4; ++i) {
+    PageId id;
+    storage::PageRef ref = pool.New(&id);
+    ref.page().Write<uint64_t>(0, 500 + static_cast<uint64_t>(i));
+    ref.MarkDirty();
+  }
+  pool.FlushAll();
+  ASSERT_TRUE(txn.Commit(kMeta));
+  const uint64_t log_before = wal.size_bytes();
+  EXPECT_FALSE(txn.Checkpoint(kMeta, txn.committed_epoch()));
+  EXPECT_EQ(wal.size_bytes(), log_before);
+  EXPECT_FALSE(txn.ok());
 }
 
 // ------------------------------------------------------------------ the

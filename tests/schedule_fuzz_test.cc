@@ -11,6 +11,7 @@
 // this via the `concurrency`/`fuzz` ctest labels and is ~20x slower);
 // PROBE_FUZZ_SEEDS overrides both defaults.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -37,6 +38,7 @@
 namespace probe {
 namespace {
 
+using geometry::GridBox;
 using geometry::GridPoint;
 using index::DurableIndex;
 using storage::Wal;
@@ -119,9 +121,54 @@ void RunWalScenario(uint64_t seed, const std::string& path) {
                                  "SchedulePoint call sites compiled in?";
 }
 
+// The epoch scenario's workload: kEpochWriters writers, each landing
+// kBatchesPerWriter batches of kPerBatch inserts, ids unique per batch.
+constexpr int kEpochWriters = 2;
+constexpr int kBatchesPerWriter = 3;
+constexpr int kPerBatch = 4;
+
+uint64_t BatchId(int writer, int batch, int i) {
+  return static_cast<uint64_t>(writer) * 1000 +
+         static_cast<uint64_t>(batch) * 10 + static_cast<uint64_t>(i) + 1;
+}
+
+// Scans `snap` and checks its answer is an exact batch prefix: epoch E
+// holds E - 1 whole batches, each writer's in that writer's order.
+// Returns the sorted ids.
+std::vector<uint64_t> ScanBatchPrefix(const DurableIndex::Snapshot& snap) {
+  std::vector<uint64_t> ids =
+      snap.index().RangeSearch(GridBox::Make2D(0, 255, 0, 255));
+  std::sort(ids.begin(), ids.end());
+  uint64_t batches = 0;
+  for (int w = 0; w < kEpochWriters; ++w) {
+    bool prior_present = true;
+    for (int b = 0; b < kBatchesPerWriter; ++b) {
+      int present = 0;
+      for (int i = 0; i < kPerBatch; ++i) {
+        present += std::binary_search(ids.begin(), ids.end(), BatchId(w, b, i));
+      }
+      EXPECT_TRUE(present == 0 || present == kPerBatch)
+          << "torn batch " << w << "/" << b;
+      if (present == kPerBatch) {
+        EXPECT_TRUE(prior_present) << "batch " << w << "/" << b
+                                   << " without its predecessor";
+        ++batches;
+      }
+      prior_present = present == kPerBatch;
+    }
+  }
+  EXPECT_EQ(batches, snap.epoch() - 1);
+  EXPECT_EQ(ids.size(), batches * kPerBatch);
+  return ids;
+}
+
 // Every eighth seed also exercises the epoch machinery: two writers land
-// batches through Apply while a reader pins snapshots; each snapshot must
-// hold an exact batch prefix (all batches are the same size).
+// batches through Apply while a reader pins snapshots, a checkpointer
+// forces the base file three times, and a second reader holds a snapshot
+// across each checkpoint. Every snapshot must answer an exact batch prefix
+// (all batches are the same size), the held one both before and after
+// the checkpoint. Small leaves and a 4-frame snapshot pool make the held
+// snapshot re-read pages after the force.
 void RunEpochScenario(uint64_t seed, const std::string& path) {
   util::ScheduleOptions options;
   options.seed = seed;
@@ -132,25 +179,28 @@ void RunEpochScenario(uint64_t seed, const std::string& path) {
 
   DurableIndex::Options db_options;
   db_options.truncate = true;
+  db_options.config.leaf_capacity = 4;
   db_options.pool_pages = 32;
-  db_options.snapshot_pool_pages = 16;
+  db_options.snapshot_pool_pages = 4;
   DurableIndex db(kGrid, path, db_options);
   ASSERT_TRUE(db.ok());
 
-  constexpr int kWriters = 2;
-  constexpr int kBatchesPerWriter = 3;
-  constexpr int kPerBatch = 4;
-  std::atomic<int> writers_left{kWriters};
+  // The base file starts out holding the empty tree, which the writers
+  // then overwrite under held snapshots.
+  ASSERT_TRUE(db.Checkpoint());
+
+  constexpr int kCheckpoints = 3;
+  std::atomic<int> writers_left{kEpochWriters};
+  std::atomic<int> held{0};
+  std::atomic<int> checkpoints{0};
   std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < kWriters; ++w) {
+  for (int w = 0; w < kEpochWriters; ++w) {
     threads.emplace_back([&db, &writers_left, w] {
-      util::ScheduleThreadOrdinal(w);
+      util::ScheduleThreadOrdinal(static_cast<uint32_t>(w));
       for (int b = 0; b < kBatchesPerWriter; ++b) {
         std::vector<Op> batch;
         for (int i = 0; i < kPerBatch; ++i) {
-          const uint64_t id = static_cast<uint64_t>(w) * 1000 +
-                              static_cast<uint64_t>(b) * 10 +
-                              static_cast<uint64_t>(i) + 1;
+          const uint64_t id = BatchId(w, b, i);
           batch.push_back(Op::Insert(
               GridPoint({static_cast<uint32_t>((id * 29) % 256),
                          static_cast<uint32_t>((id * 71) % 256)}),
@@ -173,12 +223,35 @@ void RunEpochScenario(uint64_t seed, const std::string& path) {
       ASSERT_EQ(snap.index().size(), (snap.epoch() - 1) * kPerBatch);
     } while (writers_left.load() > 0);
   });
+  threads.emplace_back([&db, &held, &checkpoints] {
+    util::ScheduleThreadOrdinal(3);
+    for (int c = 0; c < kCheckpoints; ++c) {
+      // Checkpoint c waits until the holder pinned a snapshot after
+      // checkpoint c - 1. EXPECT, not ASSERT: the holder waits on each.
+      while (held.load() <= c) std::this_thread::yield();
+      EXPECT_TRUE(db.Checkpoint());
+      checkpoints.fetch_add(1);
+    }
+  });
+  threads.emplace_back([&db, &held, &checkpoints] {
+    util::ScheduleThreadOrdinal(4);
+    for (;;) {
+      const DurableIndex::Snapshot snap = db.CreateSnapshot();
+      const std::vector<uint64_t> before = ScanBatchPrefix(snap);
+      const int seen = checkpoints.load();
+      if (seen == kCheckpoints) break;
+      held.store(seen + 1);
+      while (checkpoints.load() == seen) std::this_thread::yield();
+      EXPECT_EQ(ScanBatchPrefix(snap), before);
+    }
+  });
   for (auto& t : threads) t.join();
 
   ASSERT_EQ(db.published_epoch(),
-            1u + static_cast<uint64_t>(kWriters * kBatchesPerWriter));
+            1u + static_cast<uint64_t>(kEpochWriters * kBatchesPerWriter));
   ASSERT_EQ(db.published_size(),
-            static_cast<uint64_t>(kWriters * kBatchesPerWriter * kPerBatch));
+            static_cast<uint64_t>(kEpochWriters * kBatchesPerWriter) *
+                kPerBatch);
   ASSERT_TRUE(db.index().tree().CheckInvariants());
 }
 

@@ -472,17 +472,14 @@ TEST(ShardedEngineTest, ReopenAfterCheckpointPreservesContents) {
   EXPECT_EQ(engine.size(), points.size());
 }
 
-// Checkpoint is documented safe to overlap with queries and writers.
-// The hazard this pins down: a shard's checkpoint drains that shard's
-// snapshot pins while CreateView pins shards one by one, so two shards
-// draining at once can cycle (view A pins shard 0 and blocks at shard
-// 1's drain, view B pins shard 1 and blocks at shard 0's drain, each
-// drain waiting on the other view's pin). Checkpoint serializes its
-// drains to break the cycle; this storm — view-creating readers, an
-// epoch-advancing writer, and two concurrent checkpointers — deadlocks
-// (hangs the test) if that ever regresses. The reader churn also
-// exercises dropping the last reference to a stale cached snapshot while
-// another thread is inside CreateSnapshot.
+// Checkpoint is documented safe to overlap with queries, Views and
+// writers, and never waits for readers. This storm holds each reader's
+// View across a whole engine checkpoint before querying it, beside an
+// epoch-advancing writer and two concurrent checkpointers: a checkpoint
+// that waited for pins would hang the test, and one that pulled a base
+// page from under an older View would break its sizes. The reader churn
+// also drops the last reference to a stale cached snapshot while another
+// thread is inside CreateSnapshot.
 TEST(ShardedEngineTest, CheckpointsOverlapQueriesAndWritesWithoutDeadlock) {
   testutil::TempFile tmp("sharded_ckpt_overlap");
   ShardFiles files(tmp.path(), 4);
@@ -499,13 +496,20 @@ TEST(ShardedEngineTest, CheckpointsOverlapQueriesAndWritesWithoutDeadlock) {
   const GridBox everything = GridBox::Make2D(0, 255, 0, 255);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> writer_batches{0};
+  std::atomic<int> checkpoints{0};
   constexpr size_t kBatch = 8;
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&engine, &everything, &stop] {
+    readers.emplace_back([&engine, &everything, &stop, &checkpoints] {
       while (!stop.load()) {
         const ShardedEngine::View view = engine.CreateView();
+        // Each checkpointer may have one checkpoint in flight already; the
+        // third to finish from here started after the pins.
+        const int target = checkpoints.load() + 3;
+        while (checkpoints.load() < target && !stop.load()) {
+          std::this_thread::yield();
+        }
         // Each shard snapshot is internally consistent, so a full-space
         // scan over the view must account for exactly its pinned sizes.
         EXPECT_EQ(view.RangeSearch(everything).size(), view.size());
@@ -534,8 +538,11 @@ TEST(ShardedEngineTest, CheckpointsOverlapQueriesAndWritesWithoutDeadlock) {
 
   std::vector<std::thread> checkpointers;
   for (int c = 0; c < 2; ++c) {
-    checkpointers.emplace_back([&engine] {
-      for (int i = 0; i < 10; ++i) EXPECT_TRUE(engine.Checkpoint());
+    checkpointers.emplace_back([&engine, &checkpoints] {
+      for (int i = 0; i < 10; ++i) {
+        EXPECT_TRUE(engine.Checkpoint());
+        checkpoints.fetch_add(1);
+      }
     });
   }
 
